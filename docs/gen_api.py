@@ -42,8 +42,7 @@ SECTIONS = [
     ("Incremental checkers", "repro.algorithms.online",
      ["Checker", "IncrementalGKChecker", "IncrementalLBTChecker"]),
     ("Vectorized kernel tier", "repro.core.vector",
-     ["resolve_kernel", "available", "set_default_enabled", "verify_columnar",
-      "columnar_from_numpy"]),
+     ["resolve_kernel", "verify_columnar", "columnar_from_numpy"]),
     ("Batch engine", "repro.engine.engine",
      ["Engine"]),
     ("Streaming engine", "repro.engine.streaming",

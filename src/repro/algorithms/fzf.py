@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import columnar, vector
+from ..core import vector
+from ..core.columnar import columnar_of
 from ..core.chunks import Chunk, ChunkSet, compute_chunk_set
 from ..core.history import History
 from ..core.operation import Operation
@@ -209,7 +210,6 @@ def verify_2atomic_fzf(
     history: History,
     *,
     preprocess: bool = False,
-    columnar_path: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> VerificationResult:
     """Decide whether ``history`` is 2-atomic using FZF.
@@ -222,17 +222,12 @@ def verify_2atomic_fzf(
     preprocess:
         When true, normalise the history first (timestamp tie-breaking and
         write shortening); anomalous histories yield a NO verdict.
-    columnar_path:
-        Legacy kernel switch: ``True``/``False`` force the columnar or object
-        kernels.  Superseded by ``kernel``.
     kernel:
-        ``"object"``, ``"columnar"`` or ``"numpy"``; ``None`` (default) picks
-        the fastest available tier (:func:`repro.core.vector.resolve_kernel`).
-        The columnar run (:func:`repro.core.columnar.fzf_verdict`) and its
-        vectorized twin (:func:`repro.core.vector.fzf_verdict_np`) are
-        index-based twins of the object path — identical verdicts, reasons
-        and stats — that decode indices back to operations only for the
-        witness.
+        ``"numpy"`` (the default, ``None``) or ``"object"``
+        (:func:`repro.core.vector.resolve_kernel`).  The vectorized run
+        (:func:`repro.core.vector.fzf_verdict_np`) is an index-based twin of
+        the object path — identical verdicts, reasons and stats — that
+        decodes indices back to operations only for the witness.
 
     Returns
     -------
@@ -241,8 +236,7 @@ def verify_2atomic_fzf(
     """
     if history.is_empty:
         return VerificationResult.yes(2, _ALGORITHM, witness=())
-    tier = vector.resolve_kernel(kernel, columnar_path)
-    if tier != "object":
+    if vector.resolve_kernel(kernel) == "numpy":
         if preprocess:
             # Check anomalies on the raw history (cheap object scan, cached)
             # so only the normalised history gets encoded.
@@ -251,23 +245,14 @@ def verify_2atomic_fzf(
                     2, _ALGORITHM, reason="history contains Section II-C anomalies"
                 )
             history = normalize(history)
-            col = columnar.columnar_of(history)
+            col = columnar_of(history)
         else:
-            col = columnar.columnar_of(history)
-            anomalous = (
-                vector.has_anomalies(col)
-                if tier == "numpy"
-                else col.has_anomalies()
-            )
-            if anomalous:
+            col = columnar_of(history)
+            if col.has_anomalies():
                 return VerificationResult.no(
                     2, _ALGORITHM, reason="history contains Section II-C anomalies"
                 )
-        outcome = (
-            vector.fzf_verdict_np(col)
-            if tier == "numpy"
-            else columnar.fzf_verdict(col)
-        )
+        outcome = vector.fzf_verdict_np(col)
         if not outcome.ok:
             return VerificationResult.no(
                 2, _ALGORITHM, reason=outcome.reason, stats=outcome.stats

@@ -240,7 +240,7 @@ class LBTChecker:
         self.ops: List[Operation] = list(history.operations)
         self.h_index: Dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
         self.H = _LinkedList(len(self.ops))
-        if vector.resolve_kernel(kernel, None) == "numpy" and self.ops:
+        if vector.resolve_kernel(kernel) == "numpy" and self.ops:
             # Vectorized setup: the same columns, built with array ops
             # (lexsort / stable argsort) instead of per-operation Python.
             cols = vector.lbt_setup(history)

@@ -265,8 +265,9 @@ class RecheckChecker(Checker):
                     "streams with the streaming engine"
                 )
         self._ops_seen += 1
-        if self._latched is not None:
-            return None
+        # After a NO latches, operations are still buffered (finish()
+        # re-verifies the full history) but monitors and checks stop.
+        live = self._latched is None
         monitor_hit = False
         if op.is_write:
             if op.value in self._written:
@@ -277,17 +278,17 @@ class RecheckChecker(Checker):
                 )
             self._written[op.value] = op
             self._admit(op)
-            monitor_hit |= self._monitor(op)
+            monitor_hit |= live and self._monitor(op)
             # A write resolves every read of its value that arrived early.
             for r in self._pending.pop(op.value, ()):
                 self._admit(r)
-                monitor_hit |= self._monitor(r)
+                monitor_hit |= live and self._monitor(r)
         elif op.value in self._written:
             self._admit(op)
-            monitor_hit |= self._monitor(op)
+            monitor_hit |= live and self._monitor(op)
         else:
             self._pending.setdefault(op.value, []).append(op)
-        if monitor_hit or len(self._resolved) >= self._next_check:
+        if live and (monitor_hit or len(self._resolved) >= self._next_check):
             return self._run_check()
         return None
 
@@ -308,19 +309,27 @@ class RecheckChecker(Checker):
         return self._run_check()
 
     def finish(self) -> VerificationResult:
-        """End the stream; the verdict equals the batch algorithm's.
+        """End the stream; the result equals the batch algorithm's.
 
         Pending reads are folded back into the history, where the batch
         preprocessing reports them as Section II-C anomalies if their
-        dictating writes truly never arrived.
+        dictating writes truly never arrived.  A latched checker re-verifies
+        the full history too, so its NO reason describes the whole stream
+        rather than the prefix that first failed.
         """
         self._finished = True
-        if self._latched is not None:
-            return self._latched.result
         ops = list(self._resolved)
         for reads in self._pending.values():
             ops.extend(reads)
         result = self._batch_verify(ops)
+        if self._latched is not None and result.is_k_atomic:
+            # Every resolved operation's dictating write was resolved with
+            # it, so a non-k-atomic resolved prefix rules out the whole
+            # history; a YES here is a checker bug, never a verdict.
+            raise VerificationError(
+                f"register {self._key!r}: the full history verified "
+                f"{self.k}-atomic after a latched NO on a prefix"
+            )
         self._last_verdict = StreamVerdict(
             result=result, ops_seen=self._ops_seen, final=True
         )

@@ -42,6 +42,7 @@ from typing import List, Optional
 from . import __version__
 from .analysis.report import audit_trace, format_table
 from .core.builder import TraceBuilder
+from .core.vector import KERNELS
 from .core.windows import WindowPolicy
 from .engine import Engine, StreamingEngine
 from .io.formats import dump_jsonl, follow_jsonl, iter_jsonl_handle, load_trace, stream_trace
@@ -159,7 +160,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         partitioner=args.partitioner,
         algorithm=args.algorithm,
         max_exact_ops=args.max_exact_ops,
-        columnar=False if args.no_columnar else None,
         kernel=args.kernel,
         tier=args.tier,
     )
@@ -203,7 +203,6 @@ def _cmd_verify_remote(args: argparse.Namespace, out) -> int:
             ("--engine", args.engine != "serial"),
             ("--jobs", args.jobs is not None),
             ("--partitioner", args.partitioner != "size-balanced"),
-            ("--no-columnar", args.no_columnar),
             ("--kernel", args.kernel is not None),
             ("--tier", args.tier is not None),
             ("--stream-mode", args.stream_mode != "rolling"),
@@ -657,19 +656,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="register-to-shard assignment strategy (default size-balanced)",
     )
     p_verify.add_argument(
-        "--no-columnar",
-        action="store_true",
-        dest="no_columnar",
-        help="disable the columnar (struct-of-arrays) fast path and verify "
-        "through the object-model reference kernels",
-    )
-    p_verify.add_argument(
         "--kernel",
-        choices=["object", "columnar", "numpy"],
+        choices=list(KERNELS),
         default=None,
-        help="kernel tier for the verification hot loops (default: fastest "
-        "available — numpy when importable, else columnar); all tiers "
-        "produce identical verdicts",
+        help="kernel tier for the verification hot loops: numpy (the "
+        "default) or object (the reference oracle); both produce identical "
+        "verdicts",
     )
     p_verify.add_argument(
         "--tier",

@@ -23,6 +23,7 @@ from .errors import VerificationError
 from .history import History, MultiHistory
 from .preprocess import find_anomalies, normalize
 from .result import VerificationResult
+from .vector import resolve_kernel
 
 __all__ = [
     "verify",
@@ -62,7 +63,6 @@ def verify(
     algorithm: str = "auto",
     preprocess: bool = True,
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-    columnar: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> VerificationResult:
     """Decide whether ``history`` is k-atomic.
@@ -83,17 +83,13 @@ def verify(
     max_exact_ops:
         Size guard for the automatic ``k >= 3`` fallback to the exponential
         oracle.
-    columnar:
-        Legacy kernel switch: ``True``/``False`` force or forbid the columnar
-        (struct-of-arrays) kernels for algorithms that have them (GK and
-        FZF).  Superseded by ``kernel``; ignored when ``kernel`` is given.
     kernel:
-        Kernel tier for algorithms that have tiered implementations:
-        ``"object"``, ``"columnar"`` or ``"numpy"`` (the vectorized kernels
-        of :mod:`repro.core.vector`).  ``None`` (the default) picks the
-        fastest enabled tier — ``numpy`` when numpy is importable.  All
-        tiers produce identical results; the flag exists for benchmarks and
-        cross-validation.
+        Kernel tier for algorithms that have tiered implementations (GK,
+        FZF and the LBT setup): ``"numpy"`` (the vectorized kernels of
+        :mod:`repro.core.vector`; the default, ``None``) or ``"object"``
+        (the reference oracle).  Both tiers produce identical results; the
+        flag exists for benchmarks and cross-validation.  Any other name
+        raises :class:`~repro.core.errors.VerificationError`.
 
     Returns
     -------
@@ -114,6 +110,7 @@ def verify(
     """
     if k < 1:
         raise VerificationError(f"k must be a positive integer, got {k!r}")
+    resolve_kernel(kernel)  # unknown kernel names fail before any work
     if preprocess and not history.is_empty:
         anomalies = find_anomalies(history)
         if anomalies:
@@ -132,7 +129,7 @@ def verify(
             f"algorithm {spec.name!r} cannot decide {k}-atomicity; "
             f"it supports k in {tuple(spec.supported_k)}"
         )
-    return spec.run(history, k, columnar=columnar, kernel=kernel)
+    return spec.run(history, k, kernel=kernel)
 
 
 def verify_trace(
@@ -144,7 +141,6 @@ def verify_trace(
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
     executor: str = "serial",
     jobs: Optional[int] = None,
-    columnar: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> Dict[Hashable, VerificationResult]:
     """Verify every per-register history of a multi-register trace.
@@ -168,7 +164,6 @@ def verify_trace(
         algorithm=algorithm,
         preprocess=preprocess,
         max_exact_ops=max_exact_ops,
-        columnar=columnar,
         kernel=kernel,
     ).verify_trace(trace, k)
     return dict(report.results)

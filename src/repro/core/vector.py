@@ -1,11 +1,9 @@
-"""NumPy-vectorized kernel tier (the top of the ``object → columnar → numpy``
-ladder).
+"""NumPy-vectorized verification kernels — the production kernel tier.
 
-The columnar kernels of :mod:`repro.core.columnar` removed the per-operation
-attribute chases, but their sweeps are still Python ``for`` loops over
-``array('d')`` columns — every comparison pays interpreter dispatch.  This
-module ports the same kernels to vectorized numpy primitives (``lexsort``,
-``searchsorted``, ``reduceat``, cumulative max, boolean masks):
+:class:`~repro.core.columnar.ColumnarHistory` encodes a register as parallel
+columns; this module runs the paper's checks over those columns with
+vectorized numpy primitives (``lexsort``, ``searchsorted``, ``reduceat``,
+cumulative max, boolean masks):
 
 * the Section II-C anomaly scan,
 * cluster/zone table construction (:class:`ClusterTableNP`),
@@ -15,19 +13,16 @@ module ports the same kernels to vectorized numpy primitives (``lexsort``,
 * the LBT setup columns (the epoch loops themselves are inherently
   sequential and unchanged).
 
-Every kernel is an exact twin of its columnar counterpart — same verdicts,
-same NO-reason strings, same witnesses, same stats — and the parity is
-enforced by ``tests/test_columnar.py`` and the differential fuzz harness.
-Rare irregular cases (non-trivial FZF chunks, timestamp ties during
-normalisation) fall back to the columnar/object code paths, so vectorization
-never changes an answer.
+Every kernel is an exact twin of its object-path counterpart in
+:mod:`repro.algorithms` — same verdicts, same NO-reason strings, same
+witnesses, same stats — and the parity is enforced by
+``tests/test_columnar.py``, ``tests/test_vector.py`` and the differential
+fuzz harness.  Rare irregular cases (non-trivial FZF chunks, timestamp ties
+during normalisation) take index-based per-chunk loops or the object code
+paths, so vectorization never changes an answer.
 
-Kernel selection is tiered (:func:`resolve_kernel`): an explicit
-``kernel=`` wins, then the legacy ``columnar`` boolean, then the process
-defaults — ``numpy`` when importable and enabled, else ``columnar``, else
-``object``.  numpy is an optional dependency at runtime: when it is missing,
-:data:`NUMPY_AVAILABLE` is false, auto-selection skips the tier, and asking
-for ``kernel="numpy"`` explicitly raises.
+Kernel selection (:func:`resolve_kernel`) knows two tiers: ``"numpy"`` (the
+default) and ``"object"``, the reference oracle.  Any other name raises.
 
 The module also provides the kernel-level entry point
 :func:`verify_columnar`, which verifies a :class:`ColumnarHistory` *without
@@ -38,25 +33,15 @@ Section II-C normalisation.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 from .errors import VerificationError
 from .result import VerificationResult
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "KERNELS",
-    "available",
-    "default_enabled",
-    "set_default_enabled",
     "resolve_kernel",
     "ClusterTableNP",
     "ChunkTableNP",
@@ -64,6 +49,7 @@ __all__ = [
     "chunk_table",
     "has_anomalies",
     "gk_violation_np",
+    "FZFOutcome",
     "fzf_verdict_np",
     "gk_result_np",
     "fzf_result_np",
@@ -72,73 +58,25 @@ __all__ = [
     "verify_columnar",
 ]
 
-#: The kernel tiers, slowest to fastest.
-KERNELS = ("object", "columnar", "numpy")
-
-# ----------------------------------------------------------------------
-# Tier selection
-# ----------------------------------------------------------------------
-_DEFAULT_ENABLED = True
+#: The kernel tiers: the reference oracle and the production kernel.
+KERNELS = ("object", "numpy")
 
 
-def available() -> bool:
-    """Whether the numpy tier can run at all (numpy is importable)."""
-    return NUMPY_AVAILABLE
-
-
-def default_enabled() -> bool:
-    """Whether auto-selection may pick the numpy tier."""
-    return _DEFAULT_ENABLED
-
-
-def set_default_enabled(enabled: bool) -> bool:
-    """Set the process-wide numpy-tier default; returns the previous value.
-
-    The columnar and object paths remain the reference implementations; this
-    switch exists for benchmarks, parity tests and ``repro verify --kernel``.
-    """
-    global _DEFAULT_ENABLED
-    previous = _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-    return previous
-
-
-def resolve_kernel(
-    kernel: Optional[str] = None, columnar_path: Optional[bool] = None
-) -> str:
+def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Resolve the kernel tier for one verifier call.
 
-    Precedence: an explicit ``kernel`` name wins; else the legacy ``columnar``
-    boolean maps ``True → "columnar"`` / ``False → "object"``; else the
-    process defaults pick the fastest enabled tier (``numpy`` when importable
-    and :func:`default_enabled`, else ``columnar`` when
-    :func:`repro.core.columnar.default_enabled`, else ``object``).
-
-    Asking for ``kernel="numpy"`` when numpy is not importable raises
-    :class:`~repro.core.errors.VerificationError` — auto-selection never
-    picks an unavailable tier, so the error only fires on explicit requests.
+    ``None`` picks the production ``"numpy"`` tier; an explicit name must be
+    one of :data:`KERNELS`, anything else raises
+    :class:`~repro.core.errors.VerificationError`.
     """
-    from . import columnar as _columnar
-
-    if kernel is not None:
-        key = str(kernel).strip().lower()
-        if key not in KERNELS:
-            raise VerificationError(
-                f"unknown kernel {kernel!r}; available: {', '.join(KERNELS)}"
-            )
-        if key == "numpy" and not NUMPY_AVAILABLE:
-            raise VerificationError(
-                "kernel='numpy' was requested but numpy is not importable; "
-                "install numpy or pick kernel='columnar'/'object'"
-            )
-        return key
-    if columnar_path is not None:
-        return "columnar" if columnar_path else "object"
-    if not _columnar.default_enabled():
-        return "object"
-    if NUMPY_AVAILABLE and _DEFAULT_ENABLED:
+    if kernel is None:
         return "numpy"
-    return "columnar"
+    key = str(kernel).strip().lower()
+    if key not in KERNELS:
+        raise VerificationError(
+            f"unknown kernel {kernel!r}; available: {', '.join(KERNELS)}"
+        )
+    return key
 
 
 # ----------------------------------------------------------------------
@@ -231,19 +169,22 @@ def _scan_anomalies_np(col) -> bool:
 
 
 def has_anomalies(col) -> bool:
-    """Vectorized twin of :meth:`ColumnarHistory.has_anomalies` (shared memo)."""
+    """Vectorized Section II-C anomaly scan, memoized on the encoding.
+
+    Backs :meth:`ColumnarHistory.has_anomalies`.
+    """
     if col._anomalous is None:
         col._anomalous = _scan_anomalies_np(col)
     return col._anomalous
 
 
 # ----------------------------------------------------------------------
-# Cluster/zone table (twin of columnar.ClusterArrays)
+# Cluster/zone table
 # ----------------------------------------------------------------------
 class ClusterTableNP:
     """Struct-of-ndarray cluster table, sorted like ``build_clusters``.
 
-    Same contents and sort order as :class:`repro.core.columnar.ClusterArrays`
+    Same clusters and sort order as :func:`repro.core.zones.build_clusters`
     — ``(low, high, write op id)`` ascending — with the per-cluster read lists
     flattened into a CSR pair (``reads_sorted``/``reads_off``); cluster ``c``'s
     reads are ``reads_sorted[reads_off[c]:reads_off[c+1]]``, ascending.
@@ -336,11 +277,11 @@ def _build_cluster_table(col) -> ClusterTableNP:
 # Gibbons–Korach sweeps
 # ----------------------------------------------------------------------
 def gk_violation_np(col) -> Optional[Tuple[str, int, int]]:
-    """Vectorized twin of :func:`repro.core.columnar.gk_violation`.
+    """Vectorized twin of :func:`repro.algorithms.gk.find_1atomicity_violation`.
 
     Returns ``(condition, cluster_a, cluster_b)`` with indices into the
     (identically sorted) cluster table, or ``None`` when 1-atomic.  The pair
-    reported for each condition matches the columnar/object sweeps exactly.
+    reported for each condition matches the object sweep exactly.
     """
     ct = cluster_table(col)
     fidx = np.flatnonzero(ct.forward)
@@ -383,7 +324,7 @@ def gk_violation_np(col) -> Optional[Tuple[str, int, int]]:
 # FZF Stage 1: chunk decomposition
 # ----------------------------------------------------------------------
 class ChunkTableNP:
-    """Vectorized chunk decomposition (twin of ``chunk_decomposition``).
+    """Vectorized chunk decomposition (twin of ``compute_chunk_set``).
 
     ``fidx`` lists the forward-cluster indices in cluster order;
     ``chain_starts[i]`` is the offset in ``fidx`` where chunk ``i`` begins and
@@ -442,6 +383,144 @@ def _build_chunk_table(col) -> ChunkTableNP:
 # ----------------------------------------------------------------------
 # FZF Stages 2/3
 # ----------------------------------------------------------------------
+class FZFOutcome:
+    """Raw result of an FZF kernel run, before decoding to Operations."""
+
+    __slots__ = ("ok", "witness", "reason", "stats")
+
+    def __init__(self, ok: bool, witness: Optional[List[int]], reason: str, stats: Dict[str, int]):
+        self.ok = ok
+        self.witness = witness
+        self.reason = reason
+        self.stats = stats
+
+
+def _check_viable_columnar(
+    col,
+    order: Sequence[int],
+    ops_local: List[int],
+    reads_of_write: Dict[int, List[int]],
+) -> Optional[List[int]]:
+    """Index-based twin of :func:`repro.algorithms.fzf.check_viable`.
+
+    ``order`` is a candidate sequence of write op indices; ``ops_local`` the
+    ascending op indices of the chunk.  Returns the extended witness as op
+    indices, or ``None`` when the order is not viable.
+    """
+    n = len(ops_local)
+    pos: Dict[int, int] = {op: p for p, op in enumerate(ops_local)}
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    if n:
+        nxt[n - 1] = -1
+    tail = n - 1
+    removed = bytearray(n)
+    remaining = n
+    start = col.start
+    finish = col.finish
+    is_write = col.is_write
+    dictating = col.dictating
+
+    segments: List[List[int]] = []
+    for oi in range(len(order) - 1, -1, -1):
+        w = order[oi]
+        pred = order[oi - 1] if oi > 0 else -1
+        w_pos = pos.get(w)
+        if w_pos is None or removed[w_pos]:
+            return None
+        container: List[int] = []
+        w_finish = finish[w]
+        # Operations starting after w's finish form a suffix of the remaining
+        # chunk operations (sorted by start).
+        j = tail
+        while j != -1 and start[ops_local[j]] > w_finish:
+            op = ops_local[j]
+            nxt_j = prev[j]
+            if is_write[op]:
+                return None
+            dw = dictating[op]
+            if dw != w and dw != pred:
+                return None
+            container.append(op)
+            # Unlink j.
+            p, nx = prev[j], nxt[j]
+            if p != -1:
+                nxt[p] = nx
+            if nx != -1:
+                prev[nx] = p
+            else:
+                tail = p
+            removed[j] = 1
+            remaining -= 1
+            j = nxt_j
+        for r in reads_of_write.get(w, ()):
+            rp = pos.get(r)
+            if rp is not None and not removed[rp]:
+                container.append(r)
+                p, nx = prev[rp], nxt[rp]
+                if p != -1:
+                    nxt[p] = nx
+                if nx != -1:
+                    prev[nx] = p
+                else:
+                    tail = p
+                removed[rp] = 1
+                remaining -= 1
+        if not removed[w_pos]:
+            p, nx = prev[w_pos], nxt[w_pos]
+            if p != -1:
+                nxt[p] = nx
+            if nx != -1:
+                prev[nx] = p
+            else:
+                tail = p
+            removed[w_pos] = 1
+            remaining -= 1
+        container.sort()
+        container.insert(0, w)
+        segments.append(container)
+    if remaining:
+        return None
+    witness: List[int] = []
+    for segment in reversed(segments):
+        witness.extend(segment)
+    return witness
+
+
+def _candidate_orders_columnar(
+    tf: Tuple[int, ...], backward_writes: List[int]
+) -> List[Tuple[int, ...]]:
+    """Index-based twin of :func:`repro.algorithms.fzf.candidate_orders`."""
+    if len(tf) >= 2:
+        tf_prime = (tf[1], tf[0]) + tf[2:]
+    else:
+        tf_prime = tf
+    b = len(backward_writes)
+    raw: List[Tuple[int, ...]]
+    if b == 0:
+        raw = [tf, tf_prime]
+    elif b == 1:
+        w = backward_writes[0]
+        raw = [(w,) + tf, tf + (w,), (w,) + tf_prime, tf_prime + (w,)]
+    elif b == 2:
+        w1, w2 = backward_writes
+        raw = [
+            (w1,) + tf + (w2,),
+            (w2,) + tf + (w1,),
+            (w1,) + tf_prime + (w2,),
+            (w2,) + tf_prime + (w1,),
+        ]
+    else:
+        raw = []
+    seen = set()
+    unique: List[Tuple[int, ...]] = []
+    for order in raw:
+        if order not in seen:
+            seen.add(order)
+            unique.append(order)
+    return unique
+
+
 def _csr_gather(values, starts, counts):
     """Concatenate ``values[starts[i]:starts[i]+counts[i]]`` slices."""
     total = int(counts.sum())
@@ -453,15 +532,13 @@ def _csr_gather(values, starts, counts):
 
 
 def fzf_verdict_np(col):
-    """Vectorized twin of :func:`repro.core.columnar.fzf_verdict`.
+    """Vectorized FZF over an anomaly-free, non-empty encoding.
 
     Same verdict, reason string, stats and (op-index) witness.  Trivial
     chunks — a lone forward cluster, no backward clusters — and dangling
     clusters are handled entirely with array ops; the rare irregular chunks
-    reuse the columnar candidate-order/viability machinery per chunk.
+    run the index-based candidate-order/viability loops per chunk.
     """
-    from .columnar import FZFOutcome, _candidate_orders_columnar, _check_viable_columnar
-
     ct = cluster_table(col)
     ch = chunk_table(col)
     nch = ch.num_chunks
@@ -511,7 +588,7 @@ def fzf_verdict_np(col):
     # no backward clusters) are batch-checked against their first candidate
     # order — the chain order itself — with closed-form conditions
     # (:func:`_chain_order_check`); only chunks with backward clusters and
-    # chains whose first order fails fall back to the per-chunk columnar
+    # chains whose first order fails fall back to the per-chunk index-based
     # viability machinery, in chunk order so failure reporting and the
     # ``orders_tested`` accounting stay identical to the sequential path.
     def reads_list(c: int) -> List[int]:
@@ -656,7 +733,7 @@ def _chain_order_check(col, ct, ch, chain_mask):
     For a chunk with forward clusters ``w_0..w_{m-1}`` (chain order) and no
     backward clusters, the first candidate order FZF tests is the chain
     itself, and the reverse-greedy viability check of
-    :func:`~repro.core.columnar._check_viable_columnar` has a closed form.
+    :func:`_check_viable_columnar` has a closed form.
     With ``sufmin[i] = min(finish[w_i..w_{m-1}])``:
 
     * a write ``w_j`` survives iff no later write's zone lets an operation
@@ -759,9 +836,9 @@ _FZF = "FZF"
 def gk_result_np(col) -> VerificationResult:
     """GK verdict over an encoding, vectorized end to end (non-empty input).
 
-    Twin of :func:`repro.algorithms.gk._verify_1atomic_columnar`, with the
-    NO-reason clusters decoded from the numpy table instead of the Python
-    one (no O(n) object work on the NO path).
+    Twin of the object path of :func:`repro.algorithms.gk.verify_1atomic`,
+    with the NO-reason clusters decoded from the numpy table (no O(n)
+    object work on the NO path).
     """
     from .zones import Zone
 
@@ -1098,12 +1175,12 @@ def verify_columnar(
     This is the engine's ingestion path for memmap-backed ``.rcol`` shards.
 
     Falls back to the materialised object path whenever exactness demands it:
-    non-numpy kernels, timestamp ties during normalisation, and the
+    the object kernel, timestamp ties during normalisation, and the
     LBT/exact algorithms (``k >= 3``).
     """
     if k < 1:
         raise VerificationError(f"k must be a positive integer, got {k!r}")
-    resolved = resolve_kernel(kernel, None)
+    resolved = resolve_kernel(kernel)
 
     def materialised(history_preprocess: bool):
         from .api import verify

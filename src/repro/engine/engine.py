@@ -32,6 +32,7 @@ from ..core.errors import VerificationError
 from ..core.history import History, MultiHistory
 from ..core.operation import Operation
 from ..core.result import VerificationResult
+from ..core.vector import resolve_kernel
 from ..analysis.report import ShardStats, TraceVerificationReport
 from .executors import ShardExecutor, default_jobs, get_executor
 from .partition import Partitioner, get_partitioner
@@ -68,7 +69,6 @@ class ShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
 
@@ -87,7 +87,6 @@ class ShardTask:
             algorithm=self.algorithm,
             preprocess=self.preprocess,
             max_exact_ops=self.max_exact_ops,
-            columnar=self.columnar,
             kernel=self.kernel,
             tier=self.tier,
         )
@@ -112,7 +111,6 @@ class EncodedShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
 
@@ -141,15 +139,8 @@ class RcolShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
-
-    def effective_kernel(self) -> Optional[str]:
-        """The kernel request to forward, folding in the legacy flag."""
-        if self.kernel is not None or self.columnar is None:
-            return self.kernel
-        return "columnar" if self.columnar else "object"
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,6 @@ def _run_rcol_shard(task: RcolShardTask) -> ShardOutcome:
     from ..io.rcol import RcolFile
 
     t0 = time.perf_counter()
-    kernel = task.effective_kernel()
     results = []
     decisions: List[TierDecision] = []
     with RcolFile(task.path) as rf:
@@ -189,7 +179,7 @@ def _run_rcol_shard(task: RcolShardTask) -> ShardOutcome:
                     algorithm=task.algorithm,
                     preprocess=task.preprocess,
                     max_exact_ops=task.max_exact_ops,
-                    kernel=kernel,
+                    kernel=task.kernel,
                     decode_witness=False,
                 )
                 decisions.append(decision)
@@ -200,7 +190,7 @@ def _run_rcol_shard(task: RcolShardTask) -> ShardOutcome:
                     algorithm=task.algorithm,
                     preprocess=task.preprocess,
                     max_exact_ops=task.max_exact_ops,
-                    kernel=kernel,
+                    kernel=task.kernel,
                     decode_witness=False,
                 )
             results.append((key, result))
@@ -241,7 +231,6 @@ def run_shard(
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                columnar=task.columnar,
                 kernel=task.kernel,
             )
             decisions.append(decision)
@@ -252,7 +241,6 @@ def run_shard(
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                columnar=task.columnar,
                 kernel=task.kernel,
             )
         results.append((key, result))
@@ -284,15 +272,10 @@ class Engine:
         order smooth out imbalance that the partitioner could not predict.
     algorithm, preprocess, max_exact_ops:
         Forwarded to :func:`repro.core.api.verify` for every register.
-    columnar:
-        Forwarded to :func:`repro.core.api.verify`: force (``True``), forbid
-        (``False``) or defer to the process default (``None``) on the
-        columnar kernels.  Carried inside the shard task so worker processes
-        honour it too.
     kernel:
-        Kernel tier (``"object"``, ``"columnar"``, ``"numpy"``) forwarded to
-        :func:`repro.core.api.verify`; ``None`` picks the fastest enabled
-        tier.  Carried inside the shard task like ``columnar``.
+        Kernel tier (``"object"`` or ``"numpy"``) forwarded to
+        :func:`repro.core.api.verify`; ``None`` picks ``"numpy"``.  Carried
+        inside the shard task so worker processes honour it too.
     tier:
         Adaptive tier policy (:mod:`repro.engine.tiering`): ``None`` or
         ``"exact"`` (default, every register pays the authoritative
@@ -335,7 +318,6 @@ class Engine:
         algorithm: str = "auto",
         preprocess: bool = True,
         max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-        columnar: Optional[bool] = None,
         kernel: Optional[str] = None,
         tier: "Union[None, str, TierPolicy]" = None,
         compact_ipc: bool = True,
@@ -356,7 +338,7 @@ class Engine:
         self.algorithm = algorithm
         self.preprocess = preprocess
         self.max_exact_ops = max_exact_ops
-        self.columnar = columnar
+        resolve_kernel(kernel)  # raises on unknown names
         self.kernel = kernel
         self.tier = get_tier_policy(tier)  # raises on unknown names
         self.tier_name = self.tier.name if self.tier is not None else "exact"
@@ -398,7 +380,6 @@ class Engine:
                     algorithm=self.algorithm,
                     preprocess=self.preprocess,
                     max_exact_ops=self.max_exact_ops,
-                    columnar=self.columnar,
                     kernel=self.kernel,
                     tier=self.tier,
                 )
@@ -453,7 +434,6 @@ class Engine:
                     algorithm=self.algorithm,
                     preprocess=self.preprocess,
                     max_exact_ops=self.max_exact_ops,
-                    columnar=self.columnar,
                     kernel=self.kernel,
                     tier=self.tier,
                 )

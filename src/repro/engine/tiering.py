@@ -61,6 +61,7 @@ from ..core.history import History
 from ..core.operation import Operation
 from ..core.preprocess import find_anomalies
 from ..core.result import VerificationResult
+from ..core.vector import KERNELS
 
 __all__ = [
     "TIER_NAMES",
@@ -267,13 +268,10 @@ class TierStats:
 #: ``tiering`` experiment kind refit them to the current machine.
 _DEFAULT_COEFFS: Dict[str, Tuple[float, float]] = {
     "screen:object": (2.0e-5, 9.0e-7),
-    "screen:columnar": (3.0e-5, 4.0e-7),
     "screen:numpy": (1.2e-4, 6.0e-8),
     "confirm:object": (3.0e-5, 2.2e-6),
-    "confirm:columnar": (4.0e-5, 9.0e-7),
     "confirm:numpy": (1.5e-4, 1.0e-7),
     "exact:object": (3.0e-5, 2.5e-6),
-    "exact:columnar": (4.0e-5, 1.0e-6),
     "exact:numpy": (1.5e-4, 1.2e-7),
 }
 
@@ -348,12 +346,7 @@ class CostModel:
     # -- knob selection ------------------------------------------------
     def choose_kernel(self, num_ops: int) -> str:
         """Cheapest kernel tier for a register of ``num_ops`` operations."""
-        from ..core import vector  # local import: numpy availability probe
-
-        candidates = ["object", "columnar"]
-        if vector.NUMPY_AVAILABLE:
-            candidates.append("numpy")
-        return min(candidates, key=lambda k: self.predict("screen", k, num_ops))
+        return min(KERNELS, key=lambda k: self.predict("screen", k, num_ops))
 
     def choose_executor(self, total_ops: int, num_registers: int) -> str:
         """Executor for a batch run: stay serial until fan-out pays.
@@ -418,7 +411,7 @@ class CostModel:
                 n = min(probe_ops, max(4, int(len(ops) * frac)))
                 slice_h = History(list(ops[:n]), key=history.key)
                 for rung, probe_k in rungs:
-                    for kernel in ("object", "columnar", "numpy"):
+                    for kernel in KERNELS:
                         stage = f"{rung}:{kernel}"
                         try:
                             t0 = clock()
@@ -491,7 +484,6 @@ class TierPolicy:
         algorithm: str = "auto",
         preprocess: bool = True,
         max_exact_ops: int = 40,
-        columnar: Optional[bool] = None,
         kernel: Optional[str] = None,
     ) -> Tuple[VerificationResult, TierDecision]:
         """Verify one register through the ladder.
@@ -510,14 +502,13 @@ class TierPolicy:
                 algorithm=algorithm,
                 preprocess=preprocess,
                 max_exact_ops=max_exact_ops,
-                columnar=columnar,
                 kernel=kernel,
             )
 
         name = key or (history.key or "")
         if not self.screen or k <= 1 or history.is_empty:
             return exact_run(), TierDecision(name, "exact", escalated=False)
-        if kernel is None and columnar is None and self.feature_gated:
+        if kernel is None and self.feature_gated:
             # Cost-model kernel pick: object beats the vectorized tiers on
             # tiny registers (fixed numpy overhead), numpy wins at scale.
             kernel = self.cost_model.choose_kernel(len(history.operations))
@@ -541,7 +532,6 @@ class TierPolicy:
                     algorithm="auto",
                     preprocess=preprocess,
                     max_exact_ops=max_exact_ops,
-                    columnar=columnar,
                     kernel=kernel,
                 )
             except VerificationError:
@@ -588,7 +578,7 @@ class TierPolicy:
 
         Used by the out-of-core (``.rcol``) shard path, which never
         materialises object histories.  Feature gating uses the memoized
-        columnar anomaly scan only; the screens themselves provide the rest
+        vectorized anomaly scan only; the screens themselves provide the rest
         of the escalation signal (a screen NO always escalates).
         """
         from ..core import vector  # local: avoid import cycle

@@ -10,7 +10,7 @@ Markdown emitters.  Two experiment kinds cover the paper's evaluation axes:
   (read/write ratio, key-popularity skew, quorum sizes): how many registers
   are 1-atomic, 2-atomic, worse;
 * ``"runtime"`` — wall-clock scaling of the verification configurations
-  (GK / LBT / FZF, batch vs. online vs. columnar, executors) over growing
+  (GK / LBT / FZF, batch vs. online, kernel tiers, executors) over growing
   traces.
 
 Canned specs live in the repository's ``experiments/`` directory; run them

@@ -452,7 +452,7 @@ def load_columnar(path: Union[str, Path], fmt: Optional[str] = None) -> Dict:
     the per-register row buckets and then into a
     :class:`~repro.core.columnar.ColumnarHistory` per register.  Returns a
     mapping from register key to encoding; call ``.to_history()`` on an entry
-    (or verify through the columnar kernels) as needed — the materialised
+    (or verify through the numpy kernels) as needed — the materialised
     history arrives with its encoding pre-cached.
 
     JSONL only takes the fully column-oriented route; every other registered

@@ -926,6 +926,9 @@ class WorkerPool:
         self._restarts += 1
         handle = self._spawn(worker_id, generation=dead_generation + 1)
         handle.ready.clear()  # hold feeds until the shards are rebuilt
+        # Feeders parked on the dead handle re-read self._workers and wait on
+        # the replacement instead of sleeping out RECOVERY_TIMEOUT_S.
+        old.ready.set()
         try:
             entries = []
             for shard_id, state in self._shards.items():

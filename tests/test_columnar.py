@@ -1,10 +1,12 @@
-"""Columnar fast path: randomized parity with the object kernels.
+"""Columnar encoding and the numpy kernels: randomized parity with the
+object kernels.
 
-The columnar kernels are only allowed to exist because they are observably
-identical to the object path: same verdicts, same NO reasons, same stats,
-witnesses that validate.  These tests fuzz that equivalence across GK, FZF,
-LBT and all three executors, and cover the encoding itself (construction from
-rows vs from histories, lazy decoding, the shard codec round-trip) plus the
+The numpy kernels over the columnar encoding are only allowed to exist
+because they are observably identical to the object path: same verdicts,
+same NO reasons, same stats, witnesses that validate.  These tests fuzz that
+equivalence across GK, FZF, LBT and all three executors, and cover the
+encoding itself (construction from rows vs from histories vs memory-mapped
+``.rcol`` columns, lazy decoding, the shard codec round-trip) plus the
 derived-structure cache the fast path leans on.
 """
 
@@ -13,9 +15,10 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.core import columnar, vector
+from repro.core import vector
 from repro.core.api import verify, verify_trace
 from repro.core.columnar import ColumnarHistory, columnar_of
 from repro.core.errors import DuplicateValueError, MalformedOperationError
@@ -24,6 +27,7 @@ from repro.core.operation import read, trusted_operation, write
 from repro.core.preprocess import find_anomalies, has_anomalies, normalize
 from repro.core.zones import build_clusters
 from repro.engine import EncodedShardTask, Engine, ShardTask, run_shard
+from repro.io.rcol import RcolFile, dump_rcol
 from repro.workloads.synthetic import practical_history, random_history, synthetic_trace
 
 
@@ -48,8 +52,8 @@ class TestVerdictParity:
     @pytest.mark.parametrize("k", [1, 2])
     def test_randomized_parity_all_algorithms(self, k):
         for history in fuzz_histories():
-            col_res = verify(history, k, columnar=True)
-            obj_res = verify(history, k, columnar=False)
+            col_res = verify(history, k, kernel="numpy")
+            obj_res = verify(history, k, kernel="object")
             assert bool(col_res) == bool(obj_res), history.key
             assert col_res.reason == obj_res.reason, history.key
             assert col_res.stats == obj_res.stats, history.key
@@ -61,20 +65,20 @@ class TestVerdictParity:
                 continue
             normalized = normalize(history)
             for k in (1, 2):
-                res = verify(normalized, k, preprocess=False, columnar=True)
+                res = verify(normalized, k, preprocess=False, kernel="numpy")
                 assert bool(res) == bool(
-                    verify(normalized, k, preprocess=False, columnar=False)
+                    verify(normalized, k, preprocess=False, kernel="object")
                 )
                 if res and res.witness is not None and len(res.witness):
                     assert normalized.is_k_atomic_total_order(res.witness, k)
 
     def test_fzf_matches_lbt_through_columnar(self):
-        # LBT has no columnar twin, so it is an independent referee for FZF.
+        # LBT has no vectorized twin, so it is an independent referee for FZF.
         for history in fuzz_histories():
             if history.is_empty or find_anomalies(history):
                 continue
             normalized = normalize(history)
-            fzf = verify(normalized, 2, algorithm="fzf", preprocess=False, columnar=True)
+            fzf = verify(normalized, 2, algorithm="fzf", preprocess=False, kernel="numpy")
             lbt = verify(normalized, 2, algorithm="lbt", preprocess=False)
             assert bool(fzf) == bool(lbt), history.key
 
@@ -83,8 +87,8 @@ class TestVerdictParity:
         trace = synthetic_trace(
             random.Random(7), 6, 150, staleness_probability=0.2, max_staleness=2
         )
-        col = verify_trace(trace, 2, executor=executor, jobs=2, columnar=True)
-        obj = verify_trace(trace, 2, executor=executor, jobs=2, columnar=False)
+        col = verify_trace(trace, 2, executor=executor, jobs=2, kernel="numpy")
+        obj = verify_trace(trace, 2, executor=executor, jobs=2, kernel="object")
         assert {k: bool(r) for k, r in col.items()} == {
             k: bool(r) for k, r in obj.items()
         }
@@ -92,10 +96,9 @@ class TestVerdictParity:
             k: r.reason for k, r in obj.items()
         }
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     @pytest.mark.parametrize("k", [1, 2])
     def test_three_way_kernel_parity(self, k):
-        """object, columnar and numpy tiers agree on every observable."""
+        """The object and numpy tiers agree on every observable."""
         for history in fuzz_histories():
             results = {
                 kernel: verify(history, k, kernel=kernel)
@@ -113,7 +116,6 @@ class TestVerdictParity:
                             res.witness, k
                         ), (history.key, kernel)
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     def test_numpy_tier_orders_tested_matches(self):
         """The vectorized FZF screens the same candidate orders (stats parity)."""
         for seed in range(20):
@@ -122,10 +124,9 @@ class TestVerdictParity:
                 max_staleness=3, key=f"ot{seed}",
             )
             np_res = verify(history, 2, algorithm="fzf", kernel="numpy")
-            col_res = verify(history, 2, algorithm="fzf", kernel="columnar")
-            assert np_res.stats == col_res.stats, seed
+            obj_res = verify(history, 2, algorithm="fzf", kernel="object")
+            assert np_res.stats == obj_res.stats, seed
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_numpy_kernel_through_engine(self, executor):
         trace = synthetic_trace(
@@ -136,18 +137,6 @@ class TestVerdictParity:
         assert {k: (bool(r), r.reason) for k, r in np_rep.items()} == {
             k: (bool(r), r.reason) for k, r in obj_rep.items()
         }
-
-    def test_default_toggle_controls_path(self):
-        history = practical_history(random.Random(0), 40, key="t")
-        previous = columnar.set_default_enabled(False)
-        try:
-            assert columnar.default_enabled() is False
-            res = verify(history, 2)
-            # Object path does not touch the columnar cache.
-            assert "columnar" not in normalize(history)._derived
-        finally:
-            columnar.set_default_enabled(previous)
-        assert bool(res) == bool(verify(history, 2, columnar=True))
 
 
 class TestEncoding:
@@ -211,11 +200,20 @@ class TestEncoding:
                     verify(normalized, k, preprocess=False)
                 ), seed
 
-    def test_anomaly_scan_matches_object_path(self):
+    def test_anomaly_scan_matches_object_path(self, tmp_path):
         for history in fuzz_histories():
             if history.is_empty:
                 continue
-            assert columnar_of(history).has_anomalies() == has_anomalies(history)
+            expected = has_anomalies(history)
+            assert columnar_of(history).has_anomalies() == expected
+            # The same scan over memory-mapped columns of an .rcol file.
+            path = tmp_path / f"{history.key}.rcol"
+            dump_rcol(history, path)
+            with RcolFile(path) as rf:
+                (key,) = rf.keys()
+                mapped = rf.load_columnar(key)
+                assert isinstance(mapped.start, np.memmap), history.key
+                assert mapped.has_anomalies() == expected, history.key
 
     def test_columns_roundtrip(self):
         history = normalize(
@@ -335,31 +333,6 @@ class TestDerivedCache:
 
 
 class TestCLI:
-    def test_no_columnar_flag_matches_default(self, tmp_path):
-        import io as _io
-
-        from repro.cli import main
-        from repro.core.history import MultiHistory
-        from repro.io.formats import dump_jsonl
-
-        ops = []
-        for seed in range(3):
-            ops.extend(
-                practical_history(
-                    random.Random(seed), 40, staleness_probability=0.3,
-                    max_staleness=2, key=f"reg-{seed}",
-                ).operations
-            )
-        path = tmp_path / "trace.jsonl"
-        dump_jsonl(MultiHistory(ops), path)
-        out_default, out_object = _io.StringIO(), _io.StringIO()
-        status_default = main(["verify", str(path), "--k", "2"], out=out_default)
-        status_object = main(
-            ["verify", str(path), "--k", "2", "--no-columnar"], out=out_object
-        )
-        assert status_default == status_object == 0
-        assert out_default.getvalue() == out_object.getvalue()
-
     def test_kernel_flag_matches_across_tiers(self, tmp_path):
         import io as _io
 
@@ -377,17 +350,25 @@ class TestCLI:
             )
         path = tmp_path / "trace.jsonl"
         dump_jsonl(MultiHistory(ops), path)
-        kernels = ["object", "columnar"]
-        if vector.NUMPY_AVAILABLE:
-            kernels.append("numpy")
         outputs = {}
-        for kernel in kernels:
+        for kernel in vector.KERNELS:
             out = _io.StringIO()
             assert main(
                 ["verify", str(path), "--k", "2", "--kernel", kernel], out=out
             ) == 0
             outputs[kernel] = out.getvalue()
         assert len(set(outputs.values())) == 1, outputs.keys()
+
+
+    def test_columnar_kernel_choice_fails_the_parse(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["verify", "t.jsonl", "--kernel", "columnar"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTrustedConstructor:

@@ -1,5 +1,7 @@
 """Unit tests for the incremental checker protocol (algorithms.online)."""
 
+import random
+
 import pytest
 
 from repro.algorithms.online import (
@@ -19,6 +21,9 @@ from repro.core.operation import read, write
 from repro.core.result import StreamVerdict
 from repro.core.api import verify
 from repro.core.history import History
+from repro.core.windows import WindowPolicy
+from repro.engine import StreamingEngine
+from repro.workloads.synthetic import practical_history
 
 
 def feed_all(checker, ops):
@@ -86,6 +91,46 @@ class TestVerdictSemantics:
         # The latch survives more (harmless) operations and finish().
         assert bool(checker.check_now()) is False
         assert bool(checker.finish()) is False
+
+    def test_latched_finish_reports_full_history_reason(self):
+        # A NO latches on the resolved prefix that first failed; the finished
+        # result must still be batch LBT's over the whole stream, reason
+        # included, even where the prefix failed for a different reason.
+        differing = 0
+        for seed in range(12):
+            history = practical_history(
+                random.Random(seed), 200, staleness_probability=0.08,
+                max_staleness=3, key=f"s{seed}",
+            )
+            checker = IncrementalLBTChecker()
+            feed_all(checker, completion_order(history))
+            prefix = checker.check_now()
+            got = checker.finish()
+            want = verify(history, 2, algorithm="lbt", kernel="object")
+            assert (bool(got), got.reason) == (bool(want), want.reason), seed
+            if not prefix and prefix.result.reason != want.reason:
+                differing += 1
+        assert differing, "no seed latched on a prefix with a different reason"
+
+    def test_rolling_stream_finish_matches_full_history_oracle(self):
+        histories = [
+            practical_history(
+                random.Random(seed), 200, staleness_probability=0.08,
+                max_staleness=3, key=f"s{seed}",
+            )
+            for seed in range(8)
+        ]
+        stream = sorted(
+            (op for history in histories for op in history.operations),
+            key=lambda op: (op.finish, op.op_id),
+        )
+        report = StreamingEngine(window=WindowPolicy.count(64)).verify_stream(
+            stream, 2
+        )
+        for history in histories:
+            want = verify(history, 2, algorithm="lbt", kernel="object")
+            got = report.results[history.key]
+            assert (bool(got), got.reason) == (bool(want), want.reason), history.key
 
     def test_yes_is_provisional_until_finish(self):
         checker = IncrementalLBTChecker(check_interval=1)

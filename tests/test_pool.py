@@ -12,6 +12,7 @@ import asyncio
 import os
 import random
 import signal
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.service import (
     WorkerPool,
 )
 from repro.service.checkpoint import CheckpointStore
+from repro.service import pool as pool_module
 from repro.service.pool import POOL_LOG_NAMESPACE, POOL_SNAP_NAMESPACE
 from repro.service.routing import canonical_key_bytes
 from repro.service.session import SessionConfig
@@ -205,6 +207,45 @@ def test_worker_kill_failover_keeps_verdict_stream_identical():
         assert_report_parity(ref_report, report)
         assert sum(row.restarts for row in stats) >= 1
         assert sum(row.restored_shards for row in stats) >= 1
+
+
+def test_failover_wakes_feeders_parked_on_the_dead_worker():
+    """A feed that hits a freshly killed worker resumes as soon as the
+    replacement is rebuilt, not after the full recovery timeout."""
+    assert pool_module.RECOVERY_TIMEOUT_S == 30.0
+    rng = random.Random(TEST_SEED + 5)
+    _trace, stream = make_trace_ops(rng, registers=6, ops=70, staleness=0.2)
+    ref_windows, ref_report = run_single_process(stream)
+    # Window edges and a mid-window position: with a single worker every
+    # request after the kill lands on the dead handle first.
+    kill_points = (16, 31, 47)
+
+    async def scenario(kill_at):
+        pool = WorkerPool(1)
+        await pool.start()
+        try:
+            session = PooledAuditSession.start("stall", CONFIG, pool)
+            windows, worst = [], 0.0
+            for index, op in enumerate(stream):
+                if index == kill_at:
+                    os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                t0 = time.monotonic()
+                report = await asyncio.wait_for(session.afeed(op), timeout=10.0)
+                if index >= kill_at:
+                    worst = max(worst, time.monotonic() - t0)
+                if report is not None:
+                    windows.append(report)
+            final = await session.afinish()
+            return windows, final, worst, pool.worker_stats()
+        finally:
+            await pool.stop()
+
+    for kill_at in kill_points:
+        windows, report, worst, stats = asyncio.run(scenario(kill_at))
+        assert worst < 5.0, f"feed after kill at {kill_at} took {worst:.1f}s"
+        assert sum(row.restarts for row in stats) >= 1
+        assert_window_parity(ref_windows, windows)
+        assert_report_parity(ref_report, report)
 
 
 def test_resize_mid_stream_keeps_parity_and_moves_few_shards():

@@ -2,68 +2,54 @@
 
 The randomized parity nets live in ``tests/test_columnar.py`` and the
 differential fuzz harness; this module pins the pieces those nets cannot
-see directly — the tier-selection precedence of :func:`resolve_kernel`
-(including the numpy-absent behaviour, simulated by monkeypatching), the
-segmented suffix-minimum (both of its internal strategies), construction
-errors in :func:`columnar_from_numpy`, and the closed-form chain-order
-check of the vectorized FZF, asserted against the columnar kernels on
-histories chosen so the chain path provably runs.
+see directly — tier selection by :func:`resolve_kernel` (two tiers, unknown
+names are typed errors), the segmented suffix-minimum (both of its internal
+strategies), construction errors in :func:`columnar_from_numpy`, and the
+closed-form chain-order check of the vectorized FZF, asserted against the
+object kernels on histories chosen so the chain path provably runs.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import columnar, vector
 from repro.core.api import verify
 from repro.core.errors import DuplicateValueError, VerificationError
 from repro.core.preprocess import find_anomalies, normalize
+from repro.engine import Engine
 from repro.workloads.synthetic import practical_history
-
-np = pytest.importorskip("numpy", reason="the vector tier needs numpy")
 
 
 class TestResolveKernel:
     def test_explicit_kernel_wins(self):
-        assert vector.resolve_kernel("object", True) == "object"
-        assert vector.resolve_kernel("COLUMNAR", None) == "columnar"
-        assert vector.resolve_kernel("numpy", False) == "numpy"
+        assert vector.KERNELS == ("object", "numpy")
+        assert vector.resolve_kernel("object") == "object"
+        assert vector.resolve_kernel("NUMPY") == "numpy"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(VerificationError, match="unknown kernel"):
             vector.resolve_kernel("simd")
 
-    def test_legacy_columnar_boolean(self):
-        assert vector.resolve_kernel(None, True) == "columnar"
-        assert vector.resolve_kernel(None, False) == "object"
+    def test_columnar_kernel_name_rejected(self):
+        # The pure-stdlib tier is gone; its name is an unknown kernel at
+        # every entry point, never an alias or a silent fallback.
+        history = practical_history(random.Random(1), 30, key="gone")
+        with pytest.raises(VerificationError, match="unknown kernel"):
+            vector.resolve_kernel("columnar")
+        for k in (1, 2, 3):
+            with pytest.raises(VerificationError, match="unknown kernel"):
+                verify(history, k, kernel="columnar")
+        with pytest.raises(VerificationError, match="unknown kernel"):
+            vector.verify_columnar(columnar.columnar_of(history), 2, kernel="columnar")
+        with pytest.raises(VerificationError, match="unknown kernel"):
+            Engine(kernel="columnar")
 
     def test_auto_prefers_numpy_when_available(self):
         assert vector.resolve_kernel() == "numpy"
-
-    def test_numpy_default_toggle(self):
-        previous = vector.set_default_enabled(False)
-        try:
-            assert vector.resolve_kernel() == "columnar"
-        finally:
-            vector.set_default_enabled(previous)
-        assert vector.resolve_kernel() == "numpy"
-
-    def test_columnar_default_toggle_falls_back_to_object(self):
-        previous = columnar.set_default_enabled(False)
-        try:
-            assert vector.resolve_kernel() == "object"
-        finally:
-            columnar.set_default_enabled(previous)
-
-    def test_numpy_absent_simulation(self, monkeypatch):
-        monkeypatch.setattr(vector, "NUMPY_AVAILABLE", False)
-        # Auto-selection silently skips the tier...
-        assert vector.resolve_kernel() == "columnar"
-        # ...but an explicit request is an error, not a silent downgrade.
-        with pytest.raises(VerificationError, match="numpy is not importable"):
-            vector.resolve_kernel("numpy")
 
     def test_engine_auto_matches_explicit_numpy(self):
         history = practical_history(random.Random(3), 60, key="auto")
@@ -143,7 +129,7 @@ class TestColumnarFromNumpy:
         assert list(col.write_ord) == list(ref.write_ord)
         for k in (1, 2):
             got = vector.verify_columnar(col, k, preprocess=False)
-            want = verify(history, k, preprocess=False, kernel="columnar")
+            want = verify(history, k, preprocess=False, kernel="object")
             assert (bool(got), got.reason, got.stats) == (
                 bool(want), want.reason, want.stats
             )
@@ -189,7 +175,7 @@ class TestChainOrderCheck:
             exercised += chain_chunks(col).size
             got = vector.fzf_result_np(col)
             want = verify(history, 2, algorithm="fzf", preprocess=False,
-                          kernel="columnar")
+                          kernel="object")
             assert bool(got) == bool(want), history.key
             assert got.reason == want.reason, history.key
             assert got.stats == want.stats, history.key
@@ -210,7 +196,7 @@ class TestChainOrderCheck:
         assert chain_chunks(col).size > 0
         got = vector.fzf_result_np(col)
         want = verify(history, 2, algorithm="fzf", preprocess=False,
-                      kernel="columnar")
+                      kernel="object")
         assert (bool(got), got.reason, got.stats) == (
             bool(want), want.reason, want.stats
         )
