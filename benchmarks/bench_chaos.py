@@ -44,6 +44,7 @@ if __name__ == "__main__" and __package__ is None:
 
 from repro.analysis.report import format_table
 from repro.chaos import FaultPlan
+from repro.engine.tiering import TIER_NAMES
 from repro.service import (
     AuditClient,
     AuditServer,
@@ -193,7 +194,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--tier",
-        choices=("exact", "screen", "auto"),
+        choices=TIER_NAMES,
         default=None,
         help="run every session (baseline and chaotic alike) under this "
         "adaptive verification tier — parity then also covers the tiered "

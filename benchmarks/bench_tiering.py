@@ -2,17 +2,15 @@
 
 The tier ladder (:mod:`repro.engine.tiering`) answers clean registers with
 the cheapest sound rung (the GK screen at k'=1, exploiting k-monotonicity)
-and escalates to the exact checker only where trigger features — anomalous
-reads, value lag >= k, overlap density — say a NO is possible.  This
-benchmark quantifies both sides of that bargain on a clean and a stale
-workload arm, batch and streaming:
+and escalates to the exact checker where the anomaly gate fires or a screen
+refuses.  This benchmark quantifies both sides of that bargain on a clean
+and a stale workload arm, batch and streaming:
 
-* **batch section** — exact-only vs. ``Engine(tier=...)`` wall-clock per
-  tier policy, screen/escalation rates from the report's
-  :class:`~repro.engine.tiering.TierStats`, a verdict+reason parity digest
-  (identical across the exact and every tiered run or the ladder lied),
-  and the calibrated :class:`~repro.engine.tiering.CostModel`'s mean fit
-  error;
+* **batch section** — exact-only vs. ``Engine(tier="auto")`` wall-clock,
+  screen/escalation rates from the report's
+  :class:`~repro.engine.tiering.TierStats`, and a verdict+reason parity
+  digest (identical across the exact and the tiered run or the ladder
+  lied);
 * **streaming section** — a tiered :class:`StreamingEngine` pass per arm,
   counting windows that rode the O(1) peek instead of the authoritative
   check (``windows_bypassed_exact`` — the "no silent caps" counter) and
@@ -50,12 +48,11 @@ if __name__ == "__main__" and __package__ is None:
 
 from repro.core.windows import WindowPolicy
 from repro.engine import Engine, StreamingEngine
-from repro.engine.tiering import CostModel, get_tier_policy
 from repro.workloads.synthetic import synthetic_trace
 
 SEED = 0xC0FFEE
 K = 2
-TIERS = ("screen", "auto")
+TIERS = ("auto",)
 
 
 def make_arms(registers, ops_per_register):
@@ -166,23 +163,11 @@ def run(registers, ops_per_register, window, json_path, check,
         f"k={K}, window={window}",
         file=out,
     )
-    model = CostModel.calibrate(
-        {key: arms["clean"][key] for key in arms["clean"].keys()}
-    )
-    fit_error = (
-        sum(model.fit_errors.values()) / len(model.fit_errors)
-        if model.fit_errors
-        else None
-    )
-    if fit_error is not None:
-        print(f"  cost model: mean fit error {fit_error:.3f}", file=out)
-
     record = {
         "config": {
             "registers": registers, "ops_per_register": ops_per_register,
             "k": K, "window": window,
         },
-        "fit_error": round(fit_error, 4) if fit_error is not None else None,
         "arms": {},
     }
     for arm, trace in arms.items():
@@ -215,7 +200,7 @@ def run(registers, ops_per_register, window, json_path, check,
             failures.append(
                 f"clean-arm auto escalation rate "
                 f"{auto_clean['escalation_rate']:.2f} exceeds "
-                f"{check_max_clean_escalation:.2f} — the feature gate is "
+                f"{check_max_clean_escalation:.2f} — the ladder is "
                 "escalating traces with nothing to escalate for"
             )
         frac = auto_clean["elapsed_s"] / clean_batch["exact_s"]

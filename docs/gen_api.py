@@ -49,7 +49,7 @@ SECTIONS = [
      ["StreamingEngine", "StreamSession"]),
     ("Adaptive tier ladder", "repro.engine.tiering",
      ["get_tier_policy", "TierPolicy", "TierDecision", "TierStats",
-      "TierStreamState", "TraceFeatures", "CostModel"]),
+      "TierStreamState"]),
     ("Durable state stores", "repro.state",
      ["StateStore", "open_state_store", "available_backends",
       "write_file_atomic", "fsync_directory", "JsonFileStateStore",

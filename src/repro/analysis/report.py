@@ -405,7 +405,7 @@ class StreamVerificationReport:
     @property
     def escalated_checks(self) -> int:
         """(register, window) units escalated to an authoritative check by a
-        trigger (checker alarm, anomaly, value lag, overlap, periodic)."""
+        trigger (checker alarm, anomaly, value lag, periodic confirm)."""
         return sum(w.num_escalated for w in self.timeline)
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .analysis.report import audit_trace, format_table
 from .core.builder import TraceBuilder
 from .core.vector import KERNELS
 from .core.windows import WindowPolicy
-from .engine import Engine, StreamingEngine
+from .engine import TIER_NAMES, Engine, StreamingEngine
 from .io.formats import dump_jsonl, follow_jsonl, iter_jsonl_handle, load_trace, stream_trace
 from .io.registry import FORMATS, available_formats, dump_trace, resolve_format
 from .simulation import ExponentialLatency, QuorumConfig, SloppyQuorumStore, StoreConfig
@@ -665,13 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--tier",
-        choices=["exact", "screen", "auto"],
+        choices=list(TIER_NAMES),
         default=None,
         help="adaptive verification tier: exact (every register pays the "
-        "full check), screen (k-monotone GK/FZF screen with escalation to "
-        "exact), or auto (screen plus feature gating and cost-model kernel "
-        "selection); unknown names fail the parse — there is no silent "
-        "fallback (default: exact)",
+        "full check) or auto (anomaly gate, then a k-monotone GK/FZF screen "
+        "with escalation to exact); unknown names fail the parse — there is "
+        "no silent fallback (default: exact)",
     )
     p_verify.add_argument(
         "--online",
@@ -828,9 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--tier",
-        choices=["exact", "screen", "auto"],
+        choices=list(TIER_NAMES),
         default="exact",
-        help="default adaptive tier for sessions (exact, screen or auto); "
+        help="default adaptive tier for sessions (exact or auto); "
         "escalations and bypassed windows surface per session in the "
         "service report",
     )

@@ -18,12 +18,10 @@ from .engine import (
 from .streaming import DEFAULT_WINDOW, StreamingEngine
 from .tiering import (
     TIER_NAMES,
-    CostModel,
     TierDecision,
     TierPolicy,
     TierStats,
     TierStreamState,
-    TraceFeatures,
     get_tier_policy,
 )
 from .executors import (
@@ -45,7 +43,6 @@ from .partition import (
 )
 
 __all__ = [
-    "CostModel",
     "DEFAULT_WINDOW",
     "EXECUTORS",
     "EncodedShardTask",
@@ -68,7 +65,6 @@ __all__ = [
     "TierPolicy",
     "TierStats",
     "TierStreamState",
-    "TraceFeatures",
     "decode_shard_items",
     "default_jobs",
     "encode_shard_items",

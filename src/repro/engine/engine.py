@@ -171,7 +171,7 @@ def _run_rcol_shard(task: RcolShardTask) -> ShardOutcome:
     with RcolFile(task.path) as rf:
         for key in task.keys:
             col = rf.load_columnar(key)
-            if task.tier is not None and task.tier.active:
+            if task.tier is not None:
                 result, decision = task.tier.verify_columnar_with_decision(
                     col,
                     task.k,
@@ -223,7 +223,7 @@ def run_shard(
     results: List[Tuple[Hashable, VerificationResult]] = []
     decisions: List[TierDecision] = []
     for key, history in items:
-        if task.tier is not None and task.tier.active:
+        if task.tier is not None:
             result, decision = task.tier.verify_with_decision(
                 history,
                 task.k,
@@ -279,9 +279,9 @@ class Engine:
     tier:
         Adaptive tier policy (:mod:`repro.engine.tiering`): ``None`` or
         ``"exact"`` (default, every register pays the authoritative
-        checker), ``"screen"`` (cheap-ladder screening with sound
-        escalation) or ``"auto"`` (adds feature gating and cost-model knob
-        picks), or a :class:`~repro.engine.tiering.TierPolicy` instance.
+        checker), ``"auto"`` (the anomaly gate, then the k' = 1 screen and
+        the k' = 2 confirm, escalating to exact on refusal), or a
+        :class:`~repro.engine.tiering.TierPolicy` instance.
         Unknown names raise.  Escalation decisions surface in the report's
         ``tier_stats``/``tier_decisions`` so skipped exact checks are never
         silent.

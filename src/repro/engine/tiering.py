@@ -1,21 +1,22 @@
-"""Adaptive tiered verification: screen cheap, escalate only when suspicious.
+"""Adaptive tiered verification: screen cheap, escalate only on refusal.
 
-The paper's checkers span orders of magnitude in cost — the online GK peek
-runs at about a microsecond per operation while the exact oracle is
-combinatorial — yet a static configuration makes every window pay for
-whichever checker the caller picked.  This module closes ROADMAP item 3 with
-a *tier ladder* built on one soundness fact:
+The paper's checkers span orders of magnitude in cost — GK runs in
+near-linear time while the exact oracle is combinatorial — yet a static
+configuration makes every register pay for whichever checker the caller
+picked.  The *tier ladder* rests on one soundness fact:
 
     **k-monotonicity** (Section II): if a history is j-atomic for some
     j <= k then it is k-atomic.  A cheap verifier run at a *smaller*
     staleness bound can therefore prove a YES for the real ``k`` — but
     never a NO.
 
-The ladder screens each register with the cheapest rung first and walks up
-only on refusal:
+One ladder serves every batch path, cheapest rung first:
 
+* ``anomaly gate`` — the memoized Section II-C scan.  An anomalous register
+  is NO at every k, so it goes straight to exact; a clean scan is reused
+  by the screens' own preprocessing.
 * ``screen`` — verify at k' = 1 (GK, near-linear).  YES here is YES at any k.
-* ``confirm`` — for k >= 3, verify at k' = 2 (FZF / LBT, O(n log n)).
+* ``confirm`` — for k >= 3, verify at k' = 2 (FZF, O(n log n)).
 * ``exact`` — the authoritative checker for the requested ``k``.
 
 Every NO verdict comes from the ``exact`` rung (a screen's NO only triggers
@@ -25,29 +26,19 @@ carry a valid witness (a j-atomic total order satisfies the k-atomic
 freshness constraint for every k >= j).  ``tests/test_tiering.py`` pins this
 equivalence differentially.
 
-Escalation is additionally *feature gated*: registers whose trace features
-already smell of staleness (anomalous reads, value lag >= k, dense interval
-overlap) skip the screens and go straight to exact, so the screen cost is
-never wasted on windows that were going to escalate anyway.  The features
-are deliberately invariant under the metamorphic symmetries (time shift and
-positive scale, client/value rename) so tier decisions are reproducible
-properties of the trace shape, not of its encoding.
-
-A :class:`CostModel` — linear per-rung cost curves calibrated from observed
-trace stats — picks the kernel, executor, k-sweep range and window size for
-the ``auto`` policy.  The ``tiering`` experiment kind fits and validates the
-model against measured runtimes.
+In streams (:class:`TierStreamState`) the cheap rung is the incremental
+checker's O(1) peek; a window escalates to an authoritative check on a
+latched checker alarm, an anomalous read, a value lag >= k, or every
+:data:`CONFIRM_INTERVAL` windows.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -59,122 +50,22 @@ from typing import (
 from ..core.errors import VerificationError
 from ..core.history import History
 from ..core.operation import Operation
-from ..core.preprocess import find_anomalies
+from ..core.preprocess import has_anomalies
 from ..core.result import VerificationResult
-from ..core.vector import KERNELS
 
 __all__ = [
+    "CONFIRM_INTERVAL",
     "TIER_NAMES",
-    "TraceFeatures",
     "TierDecision",
     "TierStats",
-    "CostModel",
     "TierPolicy",
     "TierStreamState",
     "get_tier_policy",
 ]
 
-#: The registered tier policy names, in escalating order of adaptivity.
-#: ``exact`` is the pre-tiering behaviour (every register pays the
-#: authoritative checker), ``screen`` always tries the cheap ladder first,
-#: and ``auto`` adds feature gating plus cost-model knob selection.
-TIER_NAMES: Tuple[str, ...] = ("exact", "screen", "auto")
-
-#: Names of the ladder rungs, cheapest first.
-TIER_RUNGS: Tuple[str, ...] = ("screen", "confirm", "exact")
-
-
-# ----------------------------------------------------------------------
-# Trace features
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceFeatures:
-    """Cheap summary statistics of a (single-register) history.
-
-    Escalation gates use only the *transform-invariant* features —
-    ``anomaly_score``, ``max_value_lag`` and ``overlap_density`` survive
-    time shifts, positive time scaling and client/value renames — so tier
-    decisions are metamorphically stable.  ``op_rate`` and ``duration`` are
-    *not* invariant and feed only the cost model's knob picks (kernel,
-    executor, window size), which never change a verdict.
-    """
-
-    num_ops: int
-    num_writes: int
-    num_reads: int
-    #: Wall-clock span of the trace (finish of last op minus start of first).
-    duration: float
-    #: Operations per second over the span; 0 for degenerate spans.
-    op_rate: float
-    #: Fraction of start-ordered adjacent operation pairs whose intervals
-    #: overlap — the concurrency density that drives zone complexity.
-    overlap_density: float
-    #: Fraction of reads that are Section II-C anomalies (no dictating
-    #: write, or the read precedes its write).  Any anomaly forces NO.
-    anomaly_score: float
-    #: Maximum "writes-behind" distance of any read: how many *completed*
-    #: fresher writes the read skipped.  A lag >= k rules out k-atomicity
-    #: along the precedence order and is the strongest escalation signal.
-    max_value_lag: int
-
-    @classmethod
-    def from_history(cls, history: History) -> "TraceFeatures":
-        """Extract features from a single-register :class:`History`."""
-        ops = history.operations
-        n = len(ops)
-        if n == 0:
-            return cls(0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0)
-        writes = history.writes
-        reads = history.reads
-        lo, hi = history.span()
-        duration = max(0.0, hi - lo)
-        rate = (n / duration) if duration > 0 else 0.0
-
-        by_start = sorted(ops, key=lambda op: (op.start, op.finish))
-        overlaps = sum(
-            1 for prev, nxt in zip(by_start, by_start[1:]) if nxt.start < prev.finish
-        )
-        density = overlaps / (n - 1) if n > 1 else 0.0
-
-        anomalies = len(find_anomalies(history)) if reads else 0
-        score = anomalies / len(reads) if reads else 0.0
-
-        return cls(
-            num_ops=n,
-            num_writes=len(writes),
-            num_reads=len(reads),
-            duration=duration,
-            op_rate=rate,
-            overlap_density=density,
-            anomaly_score=score,
-            max_value_lag=_max_value_lag(history),
-        )
-
-
-def _max_value_lag(history: History) -> int:
-    """Largest number of completed fresher writes skipped by any read.
-
-    Writes are ranked by finish time (start as tie-break); a read of value
-    ``v`` lags by the number of writes that wholly precede the read
-    (``finish < read.start``) yet rank strictly fresher than ``v``'s write.
-    Comparisons only — invariant under time shift/scale and renames.
-    """
-    writes = sorted(history.writes, key=lambda w: (w.finish, w.start))
-    rank = {w: i for i, w in enumerate(writes)}
-    worst = 0
-    for r in history.reads:
-        w = history.dictating_write(r)
-        if w is None:
-            continue
-        base = rank[w]
-        lag = sum(
-            1
-            for other in writes[base + 1 :]
-            if other.finish < r.start
-        )
-        if lag > worst:
-            worst = lag
-    return worst
+#: The registered tier policy names.  ``exact`` is the pre-tiering behaviour
+#: (every register pays the authoritative checker); ``auto`` runs the ladder.
+TIER_NAMES: Tuple[str, ...] = ("exact", "auto")
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +77,7 @@ class TierDecision:
 
     ``tier`` names the rung that produced the verdict; ``escalated`` is true
     when a cheaper rung was consulted (or gated away) first; ``triggers``
-    records *why* — feature gates and screen alarms — so a skipped exact
+    records *why* — the anomaly gate and screen alarms — so a skipped exact
     check is never silent.
     """
 
@@ -260,194 +151,13 @@ class TierStats:
 
 
 # ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-#: Baked-in per-operation cost curves (intercept seconds, seconds/op),
-#: seeded from the committed benchmark baselines on the reference runner
-#: (bench_online_latency.json, bench_columnar.json).  ``calibrate`` or the
-#: ``tiering`` experiment kind refit them to the current machine.
-_DEFAULT_COEFFS: Dict[str, Tuple[float, float]] = {
-    "screen:object": (2.0e-5, 9.0e-7),
-    "screen:numpy": (1.2e-4, 6.0e-8),
-    "confirm:object": (3.0e-5, 2.2e-6),
-    "confirm:numpy": (1.5e-4, 1.0e-7),
-    "exact:object": (3.0e-5, 2.5e-6),
-    "exact:numpy": (1.5e-4, 1.2e-7),
-}
-
-
-@dataclass
-class CostModel:
-    """Linear cost curves ``cost(rung, kernel, n) = a + b*n`` plus knob picks.
-
-    The model is deliberately tiny — two coefficients per (rung, kernel)
-    pair — because the verifiers it prices are near-linear in practice
-    (Sections III-IV) and a model cheap enough to evaluate per window must
-    not itself become a tier.  ``fit`` refits from ``(stage, n, seconds)``
-    samples by least squares; the ``tiering`` experiment kind reports the
-    relative fit error so a drifting model is visible.
-    """
-
-    coeffs: Dict[str, Tuple[float, float]] = field(
-        default_factory=lambda: dict(_DEFAULT_COEFFS)
-    )
-    #: Overlap density at or above which ``auto`` escalates straight to exact.
-    overlap_threshold: float = 0.85
-    #: Streaming: force an authoritative check every this many windows per
-    #: register even with no trigger, bounding peek staleness.
-    confirm_interval: int = 8
-    #: Per-window check budget (seconds) used by :meth:`choose_window`.
-    window_budget_s: float = 0.040
-    #: Mean relative error per stage of the last :meth:`fit`/:meth:`calibrate`
-    #: (diagnostic only — excluded from :meth:`to_dict`).
-    fit_errors: Dict[str, float] = field(default_factory=dict)
-
-    # -- prediction ----------------------------------------------------
-    def predict(self, rung: str, kernel: str, num_ops: int) -> float:
-        """Predicted seconds to run ``rung`` with ``kernel`` on ``num_ops``."""
-        a, b = self.coeffs.get(f"{rung}:{kernel}", self.coeffs["exact:object"])
-        return a + b * max(0, num_ops)
-
-    def fit(self, samples: Iterable[Tuple[str, int, float]]) -> Dict[str, float]:
-        """Least-squares refit from ``(stage, num_ops, seconds)`` samples.
-
-        Returns the per-stage mean relative error of the *refit* model so
-        callers (the experiment harness) can validate the linear form.
-        """
-        grouped: Dict[str, List[Tuple[int, float]]] = {}
-        for stage, n, secs in samples:
-            grouped.setdefault(stage, []).append((n, secs))
-        errors: Dict[str, float] = {}
-        for stage, points in grouped.items():
-            if len(points) < 2:
-                continue
-            xs = [float(n) for n, _ in points]
-            ys = [max(0.0, s) for _, s in points]
-            mx = sum(xs) / len(xs)
-            my = sum(ys) / len(ys)
-            var = sum((x - mx) ** 2 for x in xs)
-            slope = (
-                sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
-                if var > 0
-                else 0.0
-            )
-            slope = max(0.0, slope)
-            intercept = max(0.0, my - slope * mx)
-            self.coeffs[stage] = (intercept, slope)
-            rel = [
-                abs((intercept + slope * x) - y) / y
-                for x, y in zip(xs, ys)
-                if y > 0
-            ]
-            errors[stage] = sum(rel) / len(rel) if rel else 0.0
-        self.fit_errors = dict(errors)
-        return errors
-
-    # -- knob selection ------------------------------------------------
-    def choose_kernel(self, num_ops: int) -> str:
-        """Cheapest kernel tier for a register of ``num_ops`` operations."""
-        return min(KERNELS, key=lambda k: self.predict("screen", k, num_ops))
-
-    def choose_executor(self, total_ops: int, num_registers: int) -> str:
-        """Executor for a batch run: stay serial until fan-out pays.
-
-        Process pools cost milliseconds of spawn/IPC per shard; threads are
-        cheaper but still lose on small traces.  The thresholds compare the
-        predicted serial screen cost against those fixed overheads.
-        """
-        kernel = self.choose_kernel(max(1, total_ops // max(1, num_registers)))
-        serial_cost = self.predict("screen", kernel, total_ops)
-        if num_registers >= 4 and serial_cost > 0.25:
-            return "process"
-        if num_registers >= 2 and serial_cost > 0.020:
-            return "thread"
-        return "serial"
-
-    def choose_window(self, op_rate: float) -> int:
-        """Streaming window size whose check cost fits the window budget."""
-        kernel = self.choose_kernel(4096)
-        a, b = self.coeffs.get(
-            f"exact:{kernel}", self.coeffs["exact:object"]
-        )
-        if b <= 0:
-            return 4096
-        size = int((self.window_budget_s - a) / b)
-        return max(16, min(65536, size))
-
-    def choose_k_sweep(self, features: TraceFeatures, k: int) -> Tuple[int, ...]:
-        """The k values worth sweeping for a staleness spectrum of this trace.
-
-        The observed value lag bounds the interesting range from below:
-        every k <= max_value_lag is certainly NO, so the sweep starts where
-        the answer can change.
-        """
-        lo = min(k, features.max_value_lag + 1) if features.max_value_lag else 1
-        return tuple(range(max(1, lo), k + 1))
-
-    # -- calibration ---------------------------------------------------
-    @classmethod
-    def calibrate(
-        cls,
-        histories: Mapping[str, History],
-        *,
-        probe_ops: int = 512,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "CostModel":
-        """Fit a model by timing the real rungs on slices of ``histories``.
-
-        Probes are capped at ``probe_ops`` operations per register so
-        calibration stays far cheaper than the verification it prices.
-        """
-        from ..core.api import verify  # local: avoid import cycle
-
-        model = cls()
-        samples: List[Tuple[str, int, float]] = []
-        rungs = (("screen", 1), ("confirm", 2), ("exact", 2))
-        for history in list(histories.values())[:4]:
-            ops = history.operations
-            if not ops:
-                continue
-            for frac in (0.25, 0.5, 1.0):
-                n = min(probe_ops, max(4, int(len(ops) * frac)))
-                slice_h = History(list(ops[:n]), key=history.key)
-                for rung, probe_k in rungs:
-                    for kernel in KERNELS:
-                        stage = f"{rung}:{kernel}"
-                        try:
-                            t0 = clock()
-                            verify(slice_h, probe_k, kernel=kernel)
-                            samples.append((stage, n, clock() - t0))
-                        except VerificationError:
-                            continue
-        model.fit(samples)
-        return model
-
-    # -- (de)serialisation --------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "coeffs": {stage: list(ab) for stage, ab in sorted(self.coeffs.items())},
-            "overlap_threshold": self.overlap_threshold,
-            "confirm_interval": self.confirm_interval,
-            "window_budget_s": self.window_budget_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CostModel":
-        return cls(
-            coeffs={
-                stage: (float(a), float(b))
-                for stage, (a, b) in dict(payload.get("coeffs", {})).items()
-            }
-            or dict(_DEFAULT_COEFFS),
-            overlap_threshold=float(payload.get("overlap_threshold", 0.85)),
-            confirm_interval=int(payload.get("confirm_interval", 8)),
-            window_budget_s=float(payload.get("window_budget_s", 0.040)),
-        )
-
-
-# ----------------------------------------------------------------------
 # The policy
 # ----------------------------------------------------------------------
+#: Streaming: force an authoritative check every this many windows per
+#: register even with no trigger, bounding how stale a peek can get.
+CONFIRM_INTERVAL = 8
+
+
 @dataclass(frozen=True)
 class TierPolicy:
     """Routes registers/windows through the checker ladder.
@@ -457,24 +167,8 @@ class TierPolicy:
     """
 
     name: str
-    #: When false the policy is a passthrough: every unit pays exact.
-    screen: bool = True
-    #: When true, suspicious features skip the screens entirely (``auto``).
-    feature_gated: bool = False
-    cost_model: CostModel = field(default_factory=CostModel)
 
     # -- batch ---------------------------------------------------------
-    def gate_triggers(self, features: TraceFeatures, k: int) -> Tuple[str, ...]:
-        """Transform-invariant reasons to distrust the cheap rungs."""
-        triggers: List[str] = []
-        if features.anomaly_score > 0:
-            triggers.append("anomaly")
-        if features.max_value_lag >= k:
-            triggers.append("value-lag")
-        if features.overlap_density >= self.cost_model.overlap_threshold:
-            triggers.append("overlap-density")
-        return tuple(triggers)
-
     def verify_with_decision(
         self,
         history: History,
@@ -495,71 +189,23 @@ class TierPolicy:
         """
         from ..core.api import verify  # local: avoid import cycle
 
-        def exact_run() -> VerificationResult:
+        def run(run_k: int, run_algorithm: str) -> VerificationResult:
             return verify(
                 history,
-                k,
-                algorithm=algorithm,
+                run_k,
+                algorithm=run_algorithm,
                 preprocess=preprocess,
                 max_exact_ops=max_exact_ops,
                 kernel=kernel,
             )
 
-        name = key or (history.key or "")
-        if not self.screen or k <= 1 or history.is_empty:
-            return exact_run(), TierDecision(name, "exact", escalated=False)
-        if kernel is None and self.feature_gated:
-            # Cost-model kernel pick: object beats the vectorized tiers on
-            # tiny registers (fixed numpy overhead), numpy wins at scale.
-            kernel = self.cost_model.choose_kernel(len(history.operations))
-
-        triggers: List[str] = []
-        if self.feature_gated:
-            gates = self.gate_triggers(TraceFeatures.from_history(history), k)
-            if gates:
-                return exact_run(), TierDecision(
-                    name, "exact", escalated=True, triggers=gates
-                )
-
-        ladder: List[Tuple[int, str]] = [(1, "screen")]
-        if k >= 3:
-            ladder.append((2, "confirm"))
-        for screen_k, rung in ladder:
-            try:
-                screened = verify(
-                    history,
-                    screen_k,
-                    algorithm="auto",
-                    preprocess=preprocess,
-                    max_exact_ops=max_exact_ops,
-                    kernel=kernel,
-                )
-            except VerificationError:
-                triggers.append(f"{rung}-error")
-                break
-            if screened.is_k_atomic:
-                # k-monotonicity: screened.witness is a screen_k-atomic total
-                # order, hence k-atomic; re-badge the result for the real k.
-                result = VerificationResult.yes(
-                    k,
-                    screened.algorithm,
-                    witness=screened.witness,
-                    reason=(
-                        f"{screen_k}-atomic per {screened.algorithm}; "
-                        f"k-monotonicity implies {k}-atomic"
-                    ),
-                    stats={**screened.stats, "tier": rung, "screen_k": screen_k},
-                )
-                return result, TierDecision(
-                    name,
-                    rung,
-                    escalated=False,
-                    triggers=tuple(triggers),
-                    screen_k=screen_k,
-                )
-            triggers.append(f"{rung}-alarm")
-        return exact_run(), TierDecision(
-            name, "exact", escalated=True, triggers=tuple(triggers)
+        return _ladder(
+            key or (history.key or ""),
+            k,
+            algorithm,
+            history.is_empty,
+            lambda: has_anomalies(history),
+            run,
         )
 
     def verify_columnar_with_decision(
@@ -577,84 +223,85 @@ class TierPolicy:
         """The ladder on a :class:`~repro.core.columnar.ColumnarHistory`.
 
         Used by the out-of-core (``.rcol``) shard path, which never
-        materialises object histories.  Feature gating uses the memoized
-        vectorized anomaly scan only; the screens themselves provide the rest
-        of the escalation signal (a screen NO always escalates).
+        materialises object histories.  Same routes and results as
+        :meth:`verify_with_decision` on the equivalent history.
         """
         from ..core import vector  # local: avoid import cycle
 
-        def exact_run() -> VerificationResult:
+        def run(run_k: int, run_algorithm: str) -> VerificationResult:
             return vector.verify_columnar(
                 col,
-                k,
-                algorithm=algorithm,
+                run_k,
+                algorithm=run_algorithm,
                 preprocess=preprocess,
                 max_exact_ops=max_exact_ops,
                 kernel=kernel,
                 decode_witness=decode_witness,
             )
 
-        name = key or getattr(col, "key", "") or ""
-        if not self.screen or k <= 1 or getattr(col, "n", 0) == 0:
-            return exact_run(), TierDecision(name, "exact", escalated=False)
-        if self.feature_gated and col.has_anomalies():
-            return exact_run(), TierDecision(
-                name, "exact", escalated=True, triggers=("anomaly",)
-            )
-        triggers: List[str] = []
-        ladder: List[Tuple[int, str]] = [(1, "screen")]
-        if k >= 3:
-            ladder.append((2, "confirm"))
-        for screen_k, rung in ladder:
-            try:
-                screened = vector.verify_columnar(
-                    col,
-                    screen_k,
-                    algorithm="auto",
-                    preprocess=preprocess,
-                    max_exact_ops=max_exact_ops,
-                    kernel=kernel,
-                    decode_witness=decode_witness,
-                )
-            except VerificationError:
-                triggers.append(f"{rung}-error")
-                break
-            if screened.is_k_atomic:
-                result = VerificationResult.yes(
-                    k,
-                    screened.algorithm,
-                    witness=screened.witness,
-                    reason=(
-                        f"{screen_k}-atomic per {screened.algorithm}; "
-                        f"k-monotonicity implies {k}-atomic"
-                    ),
-                    stats={**screened.stats, "tier": rung, "screen_k": screen_k},
-                )
-                return result, TierDecision(
-                    name,
-                    rung,
-                    escalated=False,
-                    triggers=tuple(triggers),
-                    screen_k=screen_k,
-                )
-            triggers.append(f"{rung}-alarm")
-        return exact_run(), TierDecision(
-            name, "exact", escalated=True, triggers=tuple(triggers)
+        return _ladder(
+            key or (getattr(col, "key", "") or ""),
+            k,
+            algorithm,
+            col.n == 0,
+            col.has_anomalies,
+            run,
         )
 
-    @property
-    def active(self) -> bool:
-        """False for the ``exact`` passthrough policy."""
-        return self.screen
+
+def _ladder(
+    name: str,
+    k: int,
+    algorithm: str,
+    is_empty: bool,
+    anomalous: Callable[[], bool],
+    run: Callable[[int, str], VerificationResult],
+) -> Tuple[VerificationResult, TierDecision]:
+    """The one ladder body: anomaly gate -> screen -> confirm -> exact.
+
+    ``run(k', algorithm)`` is the unit verifier (object or columnar).
+    ``anomalous`` is the memoized Section II-C scan: an anomalous register is
+    NO at every k, so it goes straight to exact, and a clean answer is
+    reused by the screen's own preprocessing.
+    """
+    if k <= 1 or is_empty:
+        return run(k, algorithm), TierDecision(name, "exact", escalated=False)
+    if anomalous():
+        return run(k, algorithm), TierDecision(
+            name, "exact", escalated=True, triggers=("anomaly",)
+        )
+    triggers: List[str] = []
+    rungs = ((1, "screen"),) if k == 2 else ((1, "screen"), (2, "confirm"))
+    for screen_k, rung in rungs:
+        try:
+            screened = run(screen_k, "auto")
+        except VerificationError:
+            triggers.append(f"{rung}-error")
+            break
+        if screened.is_k_atomic:
+            # k-monotonicity: screened.witness is a screen_k-atomic total
+            # order, hence k-atomic; re-badge the result for the real k.
+            result = VerificationResult.yes(
+                k,
+                screened.algorithm,
+                witness=screened.witness,
+                reason=(
+                    f"{screen_k}-atomic per {screened.algorithm}; "
+                    f"k-monotonicity implies {k}-atomic"
+                ),
+                stats={**screened.stats, "tier": rung, "screen_k": screen_k},
+            )
+            return result, TierDecision(
+                name, rung, escalated=False, triggers=tuple(triggers),
+                screen_k=screen_k,
+            )
+        triggers.append(f"{rung}-alarm")
+    return run(k, algorithm), TierDecision(
+        name, "exact", escalated=True, triggers=tuple(triggers)
+    )
 
 
-#: Preset policies by name.  ``screen`` trusts the ladder on every register;
-#: ``auto`` adds feature gating and cost-model knob selection.
-_PRESETS: Dict[str, TierPolicy] = {
-    "exact": TierPolicy(name="exact", screen=False, feature_gated=False),
-    "screen": TierPolicy(name="screen", screen=True, feature_gated=False),
-    "auto": TierPolicy(name="auto", screen=True, feature_gated=True),
-}
+_AUTO = TierPolicy(name="auto")
 
 
 def get_tier_policy(
@@ -665,17 +312,14 @@ def get_tier_policy(
     Unknown names raise :class:`VerificationError` listing the registered
     tiers — callers must not fall back silently.
     """
-    if tier is None:
-        return None
-    if isinstance(tier, TierPolicy):
-        return tier if tier.active else None
+    if tier is None or isinstance(tier, TierPolicy):
+        return tier
     name = str(tier).strip().lower()
-    if name not in _PRESETS:
+    if name not in TIER_NAMES:
         raise VerificationError(
             f"unknown tier {tier!r}; available: {', '.join(TIER_NAMES)}"
         )
-    policy = _PRESETS[name]
-    return policy if policy.active else None
+    return None if name == "exact" else _AUTO
 
 
 # ----------------------------------------------------------------------
@@ -686,9 +330,9 @@ class TierStreamState:
 
     In streaming the cheap rung is the incremental checker's O(1)
     :meth:`peek` (possibly one cadence stale) and the exact rung is
-    :meth:`check_now`.  This state watches each window's operations for the
-    same invariant trigger features as the batch gate — plus the checker's
-    own latched alarms — and decides per (register, window) whether the
+    :meth:`check_now`.  This state watches each window's operations for
+    anomalous reads and value lag — plus the checker's own latched alarms
+    and a periodic confirm — and decides per (register, window) whether the
     authoritative check must run.  The decision protocol is deliberately
     plain data (``"check"`` / ``"peek"``) so the worker pool can ship it
     per shard and journal it for replay.
@@ -733,16 +377,9 @@ class TierStreamState:
             state["alarmed"] = True
             triggers.append("checker-alarm")
         values = state["values"]
-        overlaps = 0
-        prev_finish: Optional[float] = None
         saw_anomaly = False
         saw_lag = False
         for op in sorted(ops, key=lambda o: (o.start, o.finish)):
-            if prev_finish is not None and op.start < prev_finish:
-                overlaps += 1
-            prev_finish = (
-                op.finish if prev_finish is None else max(prev_finish, op.finish)
-            )
             if op.is_write:
                 values[op.value] = state["seq"]
                 state["seq"] += 1
@@ -756,14 +393,8 @@ class TierStreamState:
             triggers.append("anomaly")
         if saw_lag:
             triggers.append("value-lag")
-        if (
-            self.policy.feature_gated
-            and len(ops) > 1
-            and overlaps / (len(ops) - 1) >= self.policy.cost_model.overlap_threshold
-        ):
-            triggers.append("overlap-density")
         state["since"] += 1
-        if not triggers and state["since"] >= self.policy.cost_model.confirm_interval:
+        if not triggers and state["since"] >= CONFIRM_INTERVAL:
             triggers.append("periodic-confirm")
         if triggers:
             state["since"] = 0

@@ -34,12 +34,11 @@ A third measurement kind quantifies the paper's global-clock assumption:
 
 A fourth evaluates the adaptive tier ladder:
 
-* ``tiering`` — calibrate a :class:`~repro.engine.tiering.CostModel` on the
-  trial workload, run the identical trace through the exact engine and the
-  tiered one (the ``tier`` knob picks ``screen`` or ``auto``), and report
-  the speedup, escalation/screen rates, the cost model's relative fit
-  error, and a strict verdict+reason parity bit per k in ``k_values`` —
-  the evidence that the screen rung never changes an answer.
+* ``tiering`` — run the identical trace through the exact engine and the
+  tiered one (the ``tier`` knob names the ladder, ``auto``), and report the
+  speedup, escalation/screen rates and a strict verdict+reason parity bit
+  per k in ``k_values`` — the evidence that the screen rung never changes
+  an answer.
 """
 
 from __future__ import annotations
@@ -310,34 +309,24 @@ def _measure_tiering(
 ) -> Dict[str, float]:
     """Tiered-vs-exact cost and parity over the identical workload.
 
-    The cost model is calibrated on the trial's own trace (so the knob
-    picks reflect this machine, not the committed baselines), then the same
-    registers run through the exact engine and the tiered one.  Parity is
-    strict: every verdict must match, and every NO must carry the identical
-    reason — the tiered path only ever re-badges YES answers.
+    The same registers run through the exact engine and the tiered one.
+    Parity is strict: every verdict must match, and every NO must carry the
+    identical reason — the tiered path only ever re-badges YES answers.
     """
-    from dataclasses import replace as dc_replace
-
     from ..core.errors import VerificationError
-    from ..engine.tiering import CostModel, get_tier_policy
+    from ..engine.tiering import get_tier_policy
 
     tier = str(trial.workload.get("tier", "auto"))
     try:
-        base_policy = get_tier_policy(tier)
+        policy = get_tier_policy(tier)
     except VerificationError as exc:
         raise ExperimentError(str(exc)) from exc
-    if base_policy is None:
+    if policy is None:
         raise ExperimentError(
-            "tiering experiments compare a screening tier against exact; "
-            f"set tier to 'screen' or 'auto', not {tier!r}"
+            "tiering experiments compare the tier ladder against exact; "
+            f"set tier to 'auto', not {tier!r}"
         )
-    histories = {key: trace[key] for key in trace.keys()}
-    model = CostModel.calibrate(histories)
-    policy = dc_replace(base_policy, cost_model=model)
-    fit_errors = list(model.fit_errors.values())
-    metrics: Dict[str, float] = {
-        "fit_error": sum(fit_errors) / len(fit_errors) if fit_errors else 0.0,
-    }
+    metrics: Dict[str, float] = {}
     parity = 1.0
     for k in k_values:
         t0 = time.perf_counter()

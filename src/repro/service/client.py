@@ -125,7 +125,7 @@ class AuditClient:
         :class:`WindowPolicy` or a plain count-window size.  ``resume=True``
         asks the server to rehydrate ``session`` from its checkpoint store.
         ``tier`` selects the session's adaptive verification ladder
-        (``"screen"`` / ``"auto"``; the server rejects unknown names at the
+        (``"exact"`` / ``"auto"``; the server rejects unknown names at the
         handshake).  ``connect_timeout`` caps the dial; ``io_timeout`` caps
         every subsequent await on the connection (both in seconds, ``None``
         = unbounded).

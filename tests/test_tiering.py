@@ -1,14 +1,15 @@
 """Adaptive tiered verification: differential parity and escalation soundness.
 
 The tier ladder (:mod:`repro.engine.tiering`) screens each register with the
-cheapest sound verifier and escalates to the exact rung when trigger
-features say a NO is possible.  The contract pinned here is *structural
+cheapest sound verifier and escalates to the exact rung when the anomaly
+gate fires or a screen refuses.  The contract pinned here is *structural
 identity with the exact-only run*:
 
 * every boolean verdict matches, on every kernel tier and executor,
 * every NO carries the identical reason and algorithm (NOs only ever come
   from the exact rung),
 * every witness that is present validates against its history,
+* the object and columnar entry points take identical routes,
 * streaming final verdicts equal the untiered stream, and every register
   the exact oracle fails has at least one escalated (``check``) window —
   a cheap screen is never silently trusted where a NO was possible.
@@ -37,25 +38,25 @@ from repro.core.history import History
 from repro.core.operation import Operation, read, write
 from repro.core.windows import WindowPolicy
 from repro.engine import Engine, StreamingEngine
+from repro.core.columnar import ColumnarHistory
 from repro.engine.tiering import (
+    CONFIRM_INTERVAL,
     TIER_NAMES,
-    CostModel,
     TierPolicy,
     TierStats,
     TierStreamState,
-    TraceFeatures,
     get_tier_policy,
 )
 from repro.io.formats import dump_jsonl, load_jsonl
 from repro.workloads.synthetic import synthetic_trace
 
-from tests.conftest import TEST_SEED, make_random_history
+from tests.conftest import TEST_SEED
 from tests.test_differential_fuzz import KERNELS, random_case, shrink
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 #: The screening tiers under test; "exact" resolves to the passthrough.
-SCREEN_TIERS = ("screen", "auto")
+SCREEN_TIERS = ("auto",)
 
 
 # ----------------------------------------------------------------------
@@ -68,8 +69,6 @@ def test_get_tier_policy_resolution():
         policy = get_tier_policy(name)
         assert isinstance(policy, TierPolicy) and policy.name == name
         assert get_tier_policy(policy) is policy
-    assert get_tier_policy("auto").feature_gated
-    assert not get_tier_policy("screen").feature_gated
 
 
 def test_unknown_tier_name_is_a_typed_error_not_a_fallback():
@@ -82,105 +81,44 @@ def test_unknown_tier_name_is_a_typed_error_not_a_fallback():
 
 
 def test_tier_names_cover_the_presets():
-    assert TIER_NAMES == ("exact", "screen", "auto")
+    assert TIER_NAMES == ("exact", "auto")
 
 
-# ----------------------------------------------------------------------
-# Trace features and gates
-# ----------------------------------------------------------------------
-def test_trace_features_on_known_history(stale_by_two_history, atomic_history):
-    stale = TraceFeatures.from_history(stale_by_two_history)
-    assert stale.num_ops == 4 and stale.num_writes == 3 and stale.num_reads == 1
-    assert stale.anomaly_score == 0.0  # the read's value was written
-    assert stale.max_value_lag == 2  # two completed fresher writes skipped
-    fresh = TraceFeatures.from_history(atomic_history)
-    assert fresh.max_value_lag == 0 and fresh.anomaly_score == 0.0
+def test_retired_screen_tier_is_a_typed_error():
+    """The ``screen`` preset was folded into ``auto``; naming it must fail
+    loudly everywhere a tier name enters, not fall back to exact."""
+    from repro.cli import build_parser
+    from repro.service.session import SessionConfig
 
-
-def test_trace_features_anomaly_score():
-    history = History(
-        [write("a", 0.0, 1.0), read("ghost", 2.0, 3.0), read("a", 4.0, 5.0)]
-    )
-    features = TraceFeatures.from_history(history)
-    assert features.anomaly_score == pytest.approx(0.5)
-
-
-def test_gate_triggers_force_escalation_features():
-    policy = get_tier_policy("auto")
-    stale = TraceFeatures.from_history(
-        History(
-            [
-                write("a", 0.0, 1.0),
-                write("b", 2.0, 3.0),
-                write("c", 4.0, 5.0),
-                read("a", 6.0, 7.0),
-            ]
+    with pytest.raises(VerificationError, match="unknown tier 'screen'"):
+        get_tier_policy("screen")
+    with pytest.raises(VerificationError, match="unknown tier"):
+        Engine(tier="screen")
+    # A checkpoint written by an older release that still had the preset.
+    with pytest.raises(ServiceError, match="unknown tier 'screen'"):
+        SessionConfig.from_dict(
+            {"k": 2, "window": {"mode": "count", "size": 16}, "tier": "screen"}
         )
-    )
-    assert "value-lag" in policy.gate_triggers(stale, 2)
-    assert "value-lag" not in policy.gate_triggers(stale, 3)
-    anomalous = TraceFeatures.from_history(
-        History([write("a", 0.0, 1.0), read("ghost", 2.0, 3.0)])
-    )
-    assert "anomaly" in policy.gate_triggers(anomalous, 2)
+    for argv in (["verify", "t.jsonl", "--tier", "screen"],
+                 ["serve", "--tier", "screen"]):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
 
-# ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-def test_cost_model_predict_is_linear_and_monotone():
-    model = CostModel()
-    for stage in ("screen", "confirm", "exact"):
-        for kernel in KERNELS:
-            small = model.predict(stage, kernel, 10)
-            large = model.predict(stage, kernel, 10_000)
-            assert 0 < small <= large
+def test_tier_policy_is_a_frozen_picklable_name():
+    import dataclasses
+    import pickle
 
-
-def test_cost_model_fit_recovers_a_linear_curve():
-    model = CostModel()
-    samples = [
-        ("screen:object", n, 1e-4 + 2e-6 * n) for n in (10, 50, 100, 500, 1000)
-    ]
-    errors = model.fit(samples)
-    a, b = model.coeffs["screen:object"]
-    assert a == pytest.approx(1e-4, rel=0.01)
-    assert b == pytest.approx(2e-6, rel=0.01)
-    assert errors["screen:object"] < 0.01
-    assert model.fit_errors == errors
-
-
-def test_cost_model_roundtrip_and_knob_picks():
-    model = CostModel()
-    clone = CostModel.from_dict(model.to_dict())
-    assert clone.coeffs == model.coeffs
-    assert clone.confirm_interval == model.confirm_interval
-    assert model.choose_kernel(100) in KERNELS
-    assert model.choose_executor(100, 1) == "serial"
-    assert model.choose_window(1000.0) >= 1
-    sweep = model.choose_k_sweep(
-        TraceFeatures(
-            num_ops=10, num_writes=5, num_reads=5, duration=1.0,
-            op_rate=10.0, overlap_density=0.0, anomaly_score=0.0,
-            max_value_lag=1,
-        ),
-        3,
-    )
-    assert sweep and all(1 <= k <= 3 for k in sweep)
-
-
-def test_cost_model_calibrate_refits_from_real_probes(rng):
-    histories = {
-        f"r{i}": make_random_history(rng, 10, 15) for i in range(3)
-    }
-    model = CostModel.calibrate(histories)
-    # Calibration must produce usable curves for the rungs it probed.
-    assert model.predict("screen", "object", 100) > 0
-    assert model.choose_kernel(100) in KERNELS
+    policy = get_tier_policy("auto")
+    assert [f.name for f in dataclasses.fields(policy)] == ["name"]
+    assert pickle.loads(pickle.dumps(policy)) == policy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.name = "exact"
 
 
 def test_tier_stats_accounting():
-    policy = get_tier_policy("screen")
+    policy = get_tier_policy("auto")
     stats = TierStats()
     history = History([write("a", 0.0, 1.0), read("a", 2.0, 3.0)])
     _result, decision = policy.verify_with_decision(history, 2, key="x")
@@ -287,6 +225,83 @@ def test_corpus_replays_tier_parity():
             )
 
 
+def _object_vs_columnar(history: History, origin: str) -> None:
+    """One ladder, two unit verifiers: identical routes, verdicts, NO reasons."""
+    policy = get_tier_policy("auto")
+    col = ColumnarHistory.from_history(history)
+    for k in (1, 2, 3):
+        for kernel in KERNELS:
+            where = f"{origin} k={k} kernel={kernel} (seed {TEST_SEED:#x})"
+            try:
+                obj, obj_decision = policy.verify_with_decision(
+                    history, k, key="x", kernel=kernel
+                )
+            except VerificationError as exc:
+                with pytest.raises(VerificationError, match="max_exact_ops"):
+                    policy.verify_columnar_with_decision(
+                        col, k, key="x", kernel=kernel
+                    )
+                assert "max_exact_ops" in str(exc), where
+                continue
+            got, col_decision = policy.verify_columnar_with_decision(
+                col, k, key="x", kernel=kernel
+            )
+            assert col_decision == obj_decision, where
+            assert bool(got) == bool(obj), where
+            if not obj:
+                assert (got.reason, got.algorithm) == (
+                    obj.reason, obj.algorithm,
+                ), where
+
+
+@pytest.mark.parametrize("seed_offset", [0, 1, 2])
+def test_object_and_columnar_ladders_agree(seed_offset):
+    """``verify_with_decision`` and ``verify_columnar_with_decision`` share
+    one ladder body; only the unit verifier differs, so every route agrees."""
+    rng = random.Random(TEST_SEED + 2000 + 1000 * seed_offset)
+    for iteration in range(12):
+        history, origin = random_case(rng)
+        _object_vs_columnar(history, f"iteration {iteration}: {origin}")
+    trace = synthetic_trace(rng, 4, 60, staleness_probability=0.2, max_staleness=2)
+    for key in trace.keys():
+        _object_vs_columnar(trace[key], f"synthetic register {key!r}")
+    for path in sorted(CORPUS_DIR.glob("tier-*.jsonl")):
+        corpus = load_jsonl(path)
+        for key in corpus.keys():
+            _object_vs_columnar(corpus[key], f"corpus {path.name}")
+
+
+def test_tiered_engine_stays_within_twice_untiered_on_a_long_register():
+    """The ladder adds at most linear work: ``Engine(tier="auto")`` on one
+    ~20k-op register is never more than 2x the untiered run.  A gate that
+    compares every read with every write (O(reads x writes)) fails this."""
+    import time
+
+    def best_of(tier, runs=3):
+        best = float("inf")
+        for _ in range(runs):
+            # A fresh trace per run: histories memoize their preprocessing,
+            # and neither side may inherit the other's work.
+            trace = synthetic_trace(
+                random.Random(TEST_SEED + 77), 1, 20_000,
+                staleness_probability=0.05, max_staleness=2,
+            )
+            t0 = time.perf_counter()
+            report = Engine(tier=tier).verify_trace(trace, 2)
+            best = min(best, time.perf_counter() - t0)
+        return best, report
+
+    untiered_s, untiered = best_of(None)
+    tiered_s, tiered = best_of("auto")
+    assert {k: bool(r) for k, r in tiered.results.items()} == {
+        k: bool(r) for k, r in untiered.results.items()
+    }
+    assert tiered_s <= 2.0 * untiered_s, (
+        f"tiered {tiered_s:.3f}s vs untiered {untiered_s:.3f}s on one "
+        "20k-op register"
+    )
+
+
 @pytest.mark.parametrize("tier", SCREEN_TIERS)
 @pytest.mark.parametrize(
     "executor,jobs", [("serial", None), ("threads", 2), ("processes", 2)]
@@ -330,7 +345,7 @@ def test_screened_yes_records_the_screen_rung():
         [write(i, 2.0 * i, 2.0 * i + 0.5) for i in range(5)]
         + [read(i, 2.0 * i + 1.0, 2.0 * i + 1.5) for i in range(5)]
     )
-    policy = get_tier_policy("screen")
+    policy = get_tier_policy("auto")
     result, decision = policy.verify_with_decision(history, 2, key="x")
     assert bool(result)
     assert decision.tier == "screen" and decision.screen_k == 1
@@ -435,7 +450,7 @@ def test_streaming_clean_trace_bypasses_exact_but_counts_it():
     assert report.register_windows_bypassed > 0
     assert "bypassed exact" in report.summary()
     # The periodic confirm bounds how long a register can ride peeks.
-    confirm = get_tier_policy("auto").cost_model.confirm_interval
+    confirm = CONFIRM_INTERVAL
     longest_run = run = 0
     for window in report.timeline:
         if window.tiers.get("x") == "peek":
@@ -457,7 +472,7 @@ def test_streaming_untiered_reports_have_no_tier_noise():
 
 
 def test_tier_stream_state_triggers():
-    state = TierStreamState(get_tier_policy("screen"), k=2)
+    state = TierStreamState(get_tier_policy("auto"), k=2)
     w = [write(i, float(i), i + 0.5, key="x") for i in range(4)]
     # Fresh read: no trigger, peek suffices.
     mode, triggers = state.decide("x", [w[0], read(0, 0.6, 0.9, key="x")])
@@ -477,8 +492,8 @@ def test_tier_stream_state_triggers():
 
 
 def test_tier_stream_state_periodic_confirm_and_snapshot():
-    policy = get_tier_policy("screen")
-    interval = policy.cost_model.confirm_interval
+    policy = get_tier_policy("auto")
+    interval = CONFIRM_INTERVAL
     state = TierStreamState(policy, k=2)
     state.decide("x", [write(0, 0.0, 0.5, key="x")])
     modes = [
@@ -666,8 +681,8 @@ def test_cli_verify_tier_conflicts_with_remote(tmp_path):
 def test_cli_serve_parser_accepts_tier():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(["serve", "--tier", "screen", "--port", "0"])
-    assert args.tier == "screen"
+    args = build_parser().parse_args(["serve", "--tier", "auto", "--port", "0"])
+    assert args.tier == "auto"
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--tier", "bogus"])
 
@@ -678,13 +693,12 @@ def test_cli_serve_parser_accepts_tier():
 def test_tiering_experiment_kind_reports_parity():
     from repro.experiments import load_spec, run_experiment
 
-    spec = load_spec("experiments/tiered_cost_model.toml")
+    spec = load_spec("experiments/tiered_ladder.toml")
     report = run_experiment(spec, smoke=True)
     assert report.kind == "tiering"
     for row in report.rows:
         assert row.metrics["parity_ok"] == 1.0, row.params
         assert 0.0 <= row.metrics["escalation_rate_k2"] <= 1.0
-        assert "fit_error" in row.metrics
 
 
 def test_tiering_experiment_rejects_exact_tier():
@@ -698,7 +712,7 @@ def test_tiering_experiment_rejects_exact_tier():
                          "ops_per_register": 10, "tier": "exact"},
         }
     )
-    with pytest.raises(ExperimentError, match="screen"):
+    with pytest.raises(ExperimentError, match="auto"):
         run_experiment(spec, smoke=True)
 
 
